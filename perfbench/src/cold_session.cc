@@ -35,7 +35,7 @@ namespace bench_util = deepeverest::bench_util;
 
 constexpr uint32_t kInputs = 240;
 constexpr int kQueries = 100;  // per session
-constexpr int kSetups = 8;
+constexpr int kSetups = 16;  // per run, spread over its sessions
 constexpr int kTopK = 10;
 /// IQA capacity: below every session's activation working set (about
 /// 10.8 MiB on this dataset; each run prints its calibration session's).
@@ -154,22 +154,6 @@ Session RunSession(const nn::Model& model, const data::Dataset& dataset,
 void RunColdSession(const Args& args, Report* report) {
   auto model = deepeverest::nn::MakeMiniResNet(/*seed=*/202);
 
-  // Set-up is what a session needs before its first query: the dataset and
-  // an engine over an empty store. Cheap, so it is repeated more often.
-  std::vector<double> setup_s;
-  for (int i = 0; i < kSetups; ++i) {
-    PinToCpu(i);
-    const std::string dir = args.work_dir + "/setup";
-    ResetDir(dir);
-    const double t0 = NowSeconds();
-    const data::Dataset dataset = MakeDataset();
-    auto store = storage::FileStore::Open(dir);
-    Require(store.ok(), store.status().ToString());
-    auto engine = core::DeepEverest::Create(model.get(), &dataset, &*store,
-                                            EngineOptions(kIqaCapacityBytes));
-    Require(engine.ok(), engine.status().ToString());
-    setup_s.push_back(NowSeconds() - t0);
-  }
   const data::Dataset dataset = MakeDataset();
 
   // A fixed number of sessions for a given --seconds, so a seed always
@@ -184,20 +168,30 @@ void RunColdSession(const Args& args, Report* report) {
     lists.push_back(MakeSession(*model, dataset, args.seed * 1000 + i));
   }
 
-  // Calibration: the first list with an unbounded cache measures the
-  // working set (and warms the process up). The timed sessions' capacity is
-  // fixed, so it does not depend on one seeded draw.
-  StepTotals unused;
-  const Session calibration =
-      RunSession(*model, dataset, lists[0], /*iqa_capacity=*/1ull << 34,
-                 args.work_dir + "/calibration", false, &unused);
   const uint64_t capacity = kIqaCapacityBytes;
-
   std::vector<Session> untraced, traced;
+  std::vector<double> setup_s;
   StepTotals totals;
   for (size_t i = 0; i < lists.size(); ++i) {
     const std::vector<core::QuerySpec>& list = lists[i];
     PinToCpu(static_cast<int>(i));
+    // Set-up is what a session needs before its first query: the dataset
+    // and an engine over an empty store. kSetups of them are spread over
+    // the run's sessions; the median is setup_s.
+    for (int j = SetupsBefore(static_cast<int>(i),
+                              static_cast<int>(lists.size()), kSetups);
+         j > 0; --j) {
+      const std::string dir = args.work_dir + "/setup";
+      ResetDir(dir);
+      const double t0 = NowSeconds();
+      const data::Dataset fresh = MakeDataset();
+      auto store = storage::FileStore::Open(dir);
+      Require(store.ok(), store.status().ToString());
+      auto engine = core::DeepEverest::Create(model.get(), &fresh, &*store,
+                                              EngineOptions(capacity));
+      Require(engine.ok(), engine.status().ToString());
+      setup_s.push_back(NowSeconds() - t0);
+    }
     untraced.push_back(RunSession(*model, dataset, list, capacity,
                                   args.work_dir + "/session", false, &totals));
     if (args.trace) {
@@ -205,7 +199,17 @@ void RunColdSession(const Args& args, Report* report) {
                                   args.work_dir + "/session", true, &totals));
     }
   }
+  // Before the untimed work below: the calibration session's unbounded
+  // cache and the answer check's reference hold more than a timed session.
   report->Set("peak_rss_mb", PeakRssMb(), "MB");
+
+  // Calibration: the first list with an unbounded cache measures the
+  // working set. The timed sessions' capacity is fixed, so it does not
+  // depend on one seeded draw.
+  StepTotals unused;
+  const Session calibration =
+      RunSession(*model, dataset, lists[0], /*iqa_capacity=*/1ull << 34,
+                 args.work_dir + "/calibration", false, &unused);
 
   // Answers: every session against a scan over full materialisation, and
   // the calibration session (same list, other cache size) against session 0.
@@ -265,6 +269,7 @@ void RunColdSession(const Args& args, Report* report) {
   int64_t inputs_run = 0;
   for (const Session& session : untraced) inputs_run += session.inputs_run;
   report->Note("nn.inputs_run " + std::to_string(inputs_run));
+  NoteSetups(report, setup_s);
   report->Set("setup_s", Median(setup_s), "s");
   report->Set("session_s", Median(session_s), "s");
   report->Set("queries_per_s",

@@ -91,13 +91,22 @@ void AnswerHash::AddDouble(double value) {
   Add(bits);
 }
 
-void PinToCpu(int index) {
+namespace {
+
+const cpu_set_t& InitialCpus() {
   static const cpu_set_t initial = [] {
     cpu_set_t set;
     CPU_ZERO(&set);
     sched_getaffinity(0, sizeof(set), &set);
     return set;
   }();
+  return initial;
+}
+
+}  // namespace
+
+void PinToCpu(int index) {
+  const cpu_set_t& initial = InitialCpus();
   std::vector<int> cpus;
   for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
     if (CPU_ISSET(cpu, &initial)) cpus.push_back(cpu);
@@ -107,6 +116,12 @@ void PinToCpu(int index) {
   CPU_ZERO(&one);
   CPU_SET(cpus[static_cast<size_t>(index) % cpus.size()], &one);
   sched_setaffinity(0, sizeof(one), &one);
+}
+
+void UnpinCpu() { sched_setaffinity(0, sizeof(cpu_set_t), &InitialCpus()); }
+
+int SetupsBefore(int part, int parts, int total) {
+  return total * (part + 1) / parts - total * part / parts;
 }
 
 double PeakRssMb() {
@@ -153,6 +168,15 @@ void Report::Print(const std::string& workload) const {
   }
   std::printf("]}\n");
   std::fflush(stdout);
+}
+
+void NoteSetups(Report* report, const std::vector<double>& seconds) {
+  const auto [lo, hi] = std::minmax_element(seconds.begin(), seconds.end());
+  char line[160];
+  std::snprintf(line, sizeof(line),
+                "setup_s is the median of %zu set-ups (%.4f s to %.4f s)",
+                seconds.size(), *lo, *hi);
+  report->Note(line);
 }
 
 void SetPercentileMs(Report* report, const std::string& name,

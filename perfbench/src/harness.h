@@ -4,6 +4,7 @@
 #ifndef PERFBENCH_HARNESS_H_
 #define PERFBENCH_HARNESS_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <map>
@@ -34,11 +35,17 @@ bool IsValidMetricName(const std::string& name);
 /// Latency is taken from the due time, so a stall also charges the wait it
 /// imposes on every request scheduled behind it.
 struct OpenLoopSample {
-  double due = 0.0;   // seconds on the run's clock
-  double sent = 0.0;  // when the request left the generator
-  double done = 0.0;  // when its response was complete
+  double due = 0.0;    // seconds on the run's clock
+  double ready = 0.0;  // when its connection last finished a request
+  double sent = 0.0;   // when the request left the generator
+  double done = 0.0;   // when its response was complete
   double latency() const { return done - due; }
   double send_lag() const { return sent - due; }
+  /// The part of the send lag the generator caused: lateness past both the
+  /// due time and the moment its connection was free. Waiting behind a
+  /// slow response on the connection is the server's, and counts in
+  /// latency instead.
+  double generator_lag() const { return sent - std::max(due, ready); }
 };
 
 inline double DueTime(double start, double interval, int64_t i) {
@@ -85,6 +92,13 @@ class AnswerHash {
 /// all of them instead of staying wherever the scheduler first put them.
 void PinToCpu(int index);
 
+/// Lets the calling thread run on every CPU of the starting set again.
+void UnpinCpu();
+
+/// How many of `total` set-ups run before part `part` of `parts`, so that
+/// set-ups spread evenly over a run instead of sampling one moment of it.
+int SetupsBefore(int part, int parts, int total);
+
 /// Peak resident set size of this process so far, in MiB.
 double PeakRssMb();
 
@@ -117,6 +131,9 @@ class Report {
   std::vector<std::string> notes_;
   std::vector<std::string> unexercised_;
 };
+
+/// Notes how many set-ups setup_s is the median of, and their range.
+void NoteSetups(Report* report, const std::vector<double>& seconds);
 
 /// Sets `name` to the q-percentile of `values` in milliseconds when the
 /// sample supports it; records a note instead when it does not.

@@ -1,7 +1,7 @@
 // perfbench: runs one workload for a fixed time and prints its metrics.
 //
 //   perfbench --workload <cold_session|served_ingest> --seed N
-//             --seconds S --trace <0|1> --work-dir DIR [--closed-loop]
+//             --seconds S --trace <0|1> --work-dir DIR
 //
 // The last stdout line is `PERFBENCH_RESULT {...}` with every metric the
 // workload measured; perfbench/run.py turns it into the result line.
@@ -19,7 +19,7 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: perfbench --workload NAME --seed N --seconds S "
-               "--trace 0|1 --work-dir DIR [--closed-loop]\n");
+               "--trace 0|1 --work-dir DIR\n");
   return 2;
 }
 
@@ -29,10 +29,6 @@ int main(int argc, char** argv) {
   perfbench::Args args;
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
-    if (flag == "--closed-loop") {
-      args.closed_loop = true;
-      continue;
-    }
     if (i + 1 >= argc) return Usage();
     const char* value = argv[++i];
     if (flag == "--workload") {

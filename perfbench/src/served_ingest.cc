@@ -2,10 +2,13 @@
 // loopback (2 service workers, an attached IngestQueue). An open loop sends
 // the mixed query workload at a fixed rate on 3 keep-alive connections and
 // fixed-size ingest batches at a fixed rate on a fourth, which also saves a
-// snapshot every few batches and polls /v1/stats until each acknowledged
-// batch is indexed. Latency is timed from each request's due time.
+// snapshot every few batches and, between its due times, polls /v1/stats for
+// when each acknowledged batch is indexed. Latency is timed from each
+// request's due time. After the schedule, closed-loop passes over the query
+// list measure the server's query capacity.
 #include <algorithm>
 #include <chrono>
+#include <deque>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -42,16 +45,24 @@ constexpr uint32_t kBaseInputs = 2000;
 constexpr int kDims = 8;
 constexpr int kWorkers = 2;
 constexpr int kQueryConnections = 3;
-/// Fixed rates: about half of the closed-loop capacity that `--closed-loop`
-/// measured on a 4-core x86 VM (576 queries/s beside 112 ingest batches/s).
-constexpr double kQueryRate = 290.0;   // queries per second
-constexpr double kIngestRate = 56.0;    // batches per second
+/// Fixed rates, about half of the closed-loop capacity on a 4-core x86 VM.
+/// Queries: the capacity passes measure about 430 queries/s. Ingest: a
+/// one-time probe with every connection sending back to back sustained 112
+/// batches/s beside the queries.
+constexpr double kQueryRate = 200.0;   // queries per second
+constexpr double kIngestRate = 56.0;   // batches per second
 constexpr int kIngestBatch = 4;        // inputs per batch
 constexpr int kSnapshotEvery = 25;     // batches between snapshot saves
 constexpr int kCheckEvery = 20;        // one query answer in 20 is verified
 constexpr size_t kCheckVersions = 8;   // dataset versions re-executed
-constexpr double kMaxSendLagP99 = 0.25;  // seconds; beyond it: invalid run
-constexpr int kSetups = 8;
+/// A segment whose generator lag p99 (on either stream) exceeds this many
+/// seconds is invalid: it is answer-checked, then discarded and run again,
+/// at most kMaxInvalidSegments times per run.
+constexpr double kMaxGeneratorLagP99 = 0.25;
+constexpr int kMaxInvalidSegments = 2;
+constexpr int kSetups = 16;  // per run, spread over its segments
+/// Closed-loop passes over the query list after each segment's schedule.
+constexpr int kCapacityPasses = 5;
 /// Length of one segment of a run (see RunServedIngest).
 constexpr double kSegmentSeconds = 20.0;
 
@@ -226,6 +237,7 @@ struct IngestResult {
   std::vector<double> ack_s;
   std::vector<double> visible_s;
   std::vector<double> snapshot_s;
+  std::vector<OpenLoopSample> sends;  // every batch sent
   int64_t attempted = 0;
   int64_t failed = 0;
   int64_t lag_inputs_max = 0;
@@ -279,23 +291,49 @@ ServedStats ReadStats(net::HttpClient* client) {
   return stats;
 }
 
-/// The ingest connection: batches on their schedule, each followed by
-/// visibility polls; a snapshot save every kSnapshotEvery batches.
+/// The ingest connection, open loop: batch j is sent at its due time, and
+/// every kSnapshotEvery-th ack is followed by a snapshot save. While it
+/// waits for the next due time it polls /v1/stats and records when each
+/// acknowledged batch became visible (to within one poll). After the last
+/// batch it polls until every batch is visible.
 void IngestLoop(uint16_t port, const std::vector<service::IngestInput>& inputs,
-                double start, double stop, int batches, bool closed_loop,
-                IngestResult* out) {
+                double start, int batches, IngestResult* out) {
   try {
     auto client = net::HttpClient::Connect("127.0.0.1", port, 30.0);
     Require(client.ok(), "connect");
-    for (int j = 0; j < batches && NowSeconds() < stop; ++j) {
+    struct Unseen {
+      uint32_t size;  // dataset size once the batch is in
+      double acked;
+    };
+    std::deque<Unseen> unseen;
+    double ready = 0.0;  // when the connection last finished a request
+    for (int j = 0; j <= batches; ++j) {
+      const double due = DueTime(start, 1.0 / kIngestRate, j);
+      while (!unseen.empty() && (j == batches || NowSeconds() < due)) {
+        const ServedStats stats = ReadStats(&*client);
+        const double now = NowSeconds();
+        out->lag_inputs_max = std::max<int64_t>(
+            out->lag_inputs_max,
+            static_cast<int64_t>(stats.dataset_size) - stats.min_watermark);
+        while (!unseen.empty() && stats.min_watermark >= unseen.front().size) {
+          out->visible_s.push_back(now - unseen.front().acked);
+          unseen.pop_front();
+        }
+        if (unseen.empty()) break;
+        SleepUntil(j == batches ? now + 5e-4 : std::min(now + 5e-4, due));
+      }
+      if (j == batches) break;
       OpenLoopSample t;
-      t.due = closed_loop ? NowSeconds() : DueTime(start, 1.0 / kIngestRate, j);
+      t.due = due;
+      t.ready = ready;
       SleepUntil(t.due);
       t.sent = NowSeconds();
       const size_t begin = static_cast<size_t>(j) * kIngestBatch;
       auto ack = client->Post("/v1/ingest",
                               IngestBody(inputs, begin, begin + kIngestBatch));
       t.done = NowSeconds();
+      ready = t.done;
+      out->sends.push_back(t);
       ++out->attempted;
       if (!ack.ok() || ack->status != 200) {
         ++out->failed;
@@ -306,16 +344,8 @@ void IngestLoop(uint16_t port, const std::vector<service::IngestInput>& inputs,
       Require(json.ok(), "ack json");
       out->acked.emplace_back(
           j, static_cast<uint32_t>(Number(*json, "first_id")));
-      const uint32_t size = static_cast<uint32_t>(Number(*json, "dataset_size"));
-      for (;;) {
-        const ServedStats stats = ReadStats(&*client);
-        out->lag_inputs_max = std::max<int64_t>(
-            out->lag_inputs_max,
-            static_cast<int64_t>(stats.dataset_size) - stats.min_watermark);
-        if (stats.min_watermark >= size) break;
-        std::this_thread::sleep_for(std::chrono::microseconds(500));
-      }
-      out->visible_s.push_back(NowSeconds() - t.done);
+      unseen.push_back(
+          {static_cast<uint32_t>(Number(*json, "dataset_size")), t.done});
       if ((j + 1) % kSnapshotEvery == 0) {
         const double s0 = NowSeconds();
         auto saved = client->Post("/v1/snapshot/save", "{}");
@@ -325,6 +355,7 @@ void IngestLoop(uint16_t port, const std::vector<service::IngestInput>& inputs,
         } else {
           out->snapshot_s.push_back(NowSeconds() - s0);
         }
+        ready = NowSeconds();
       }
     }
   } catch (const std::exception& e) {
@@ -332,60 +363,110 @@ void IngestLoop(uint16_t port, const std::vector<service::IngestInput>& inputs,
   }
 }
 
-/// One query connection: requests c, c + 3, c + 6, ... of the schedule.
-void QueryLoop(uint16_t port, const std::vector<core::QuerySpec>& specs,
-               const std::vector<std::string>& bodies, double start,
-               double stop, int connection, int requests, bool closed_loop,
-               bool trace,
+/// Sends one query and reads its response into `sample`, whose spec, due
+/// time and tracing the caller has set. `keep_entries` keeps the answer for
+/// the answer check.
+void SendQuery(net::HttpClient* client, const std::string& body,
+               bool keep_entries, QuerySample* sample) {
+  sample->time.sent = NowSeconds();
+  auto response = client->Post(
+      sample->traced ? "/v1/query?trace=1" : "/v1/query", body);
+  sample->time.done = NowSeconds();
+  sample->ok = response.ok() && response->status == 200;
+  if (!sample->ok) return;
+  sample->bytes = response->body.size();
+  auto json = deepeverest::ParseJson(response->body);
+  Require(json.ok(), "query json");
+  const JsonValue* stats = json->Find("stats");
+  Require(stats != nullptr, "query response without stats");
+  sample->version = static_cast<int64_t>(Number(*stats, "dataset_version"));
+  sample->rounds = static_cast<int64_t>(Number(*stats, "rounds"));
+  sample->inputs_run = static_cast<int64_t>(Number(*stats, "inputs_run"));
+  const JsonValue* entries = json->Find("entries");
+  Require(entries != nullptr && entries->is_array(), "no entries");
+  if (keep_entries) {
+    for (const JsonValue& e : entries->array_items()) {
+      sample->entries.push_back({static_cast<uint32_t>(Number(e, "input_id")),
+                                 Number(e, "value")});
+    }
+  }
+  if (sample->traced) {
+    const JsonValue* trace = json->Find("trace");
+    Require(trace != nullptr, "traced response without a trace");
+    ReadTrace(*trace, sample);
+  }
+}
+
+/// One query connection of the open loop: requests c, c + 3, c + 6, ... of
+/// the schedule, each sent at its due time.
+void QueryLoop(uint16_t port, const std::vector<std::string>& bodies,
+               double start, int connection, int requests, bool trace,
                std::vector<QuerySample>* out, std::string* error) {
   try {
     auto client = net::HttpClient::Connect("127.0.0.1", port, 30.0);
     Require(client.ok(), "connect");
-    for (int i = connection; i < requests && NowSeconds() < stop;
-         i += kQueryConnections) {
+    double ready = 0.0;  // when the connection last finished a request
+    for (int i = connection; i < requests; i += kQueryConnections) {
       QuerySample sample;
-      sample.spec = static_cast<size_t>(i) % specs.size();
+      sample.spec = static_cast<size_t>(i) % bodies.size();
       // A traced run traces every other request, so both halves share the
       // same moment of the run and the overhead is their difference.
       sample.traced = trace && i % 2 == 1;
-      sample.time.due =
-          closed_loop ? NowSeconds() : DueTime(start, 1.0 / kQueryRate, i);
+      sample.time.due = DueTime(start, 1.0 / kQueryRate, i);
+      sample.time.ready = ready;
       SleepUntil(sample.time.due);
-      sample.time.sent = NowSeconds();
-      auto response = client->Post(
-          sample.traced ? "/v1/query?trace=1" : "/v1/query",
-          bodies[sample.spec]);
-      sample.time.done = NowSeconds();
-      sample.ok = response.ok() && response->status == 200;
-      if (sample.ok) {
-        sample.bytes = response->body.size();
-        auto json = deepeverest::ParseJson(response->body);
-        Require(json.ok(), "query json");
-        const JsonValue* stats = json->Find("stats");
-        Require(stats != nullptr, "query response without stats");
-        sample.version = static_cast<int64_t>(Number(*stats, "dataset_version"));
-        sample.rounds = static_cast<int64_t>(Number(*stats, "rounds"));
-        sample.inputs_run = static_cast<int64_t>(Number(*stats, "inputs_run"));
-        const JsonValue* entries = json->Find("entries");
-        Require(entries != nullptr && entries->is_array(), "no entries");
-        if (i % kCheckEvery == 0) {
-          for (const JsonValue& e : entries->array_items()) {
-            sample.entries.push_back(
-                {static_cast<uint32_t>(Number(e, "input_id")),
-                 Number(e, "value")});
-          }
-        }
-        if (sample.traced) {
-          const JsonValue* trace = json->Find("trace");
-          Require(trace != nullptr, "traced response without a trace");
-          ReadTrace(*trace, &sample);
-        }
-      }
+      SendQuery(&*client, bodies[sample.spec], i % kCheckEvery == 0, &sample);
+      ready = sample.time.done;
       out->push_back(std::move(sample));
     }
   } catch (const std::exception& e) {
     *error = e.what();
   }
+}
+
+/// One closed-loop pass over the query list: each of the kQueryConnections
+/// connections sends its share back to back from a common start. Returns
+/// the pass's completion rate in queries per second; the samples are
+/// appended to `out`.
+double CapacityPass(uint16_t port, const std::vector<std::string>& bodies,
+                    bool keep_entries, std::vector<QuerySample>* out) {
+  std::vector<std::vector<QuerySample>> per_connection(kQueryConnections);
+  std::vector<std::string> errors(kQueryConnections);
+  const double start = NowSeconds() + 0.01;
+  {
+    std::vector<std::thread> threads;
+    for (int c = 0; c < kQueryConnections; ++c) {
+      threads.emplace_back([&, c] {
+        try {
+          auto client = net::HttpClient::Connect("127.0.0.1", port, 30.0);
+          Require(client.ok(), "connect");
+          SleepUntil(start);
+          for (size_t i = static_cast<size_t>(c); i < bodies.size();
+               i += kQueryConnections) {
+            QuerySample sample;
+            sample.spec = i;
+            sample.time.due = NowSeconds();
+            SendQuery(&*client, bodies[i], keep_entries && i % kCheckEvery == 0,
+                      &sample);
+            per_connection[static_cast<size_t>(c)].push_back(
+                std::move(sample));
+          }
+        } catch (const std::exception& e) {
+          errors[static_cast<size_t>(c)] = e.what();
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  for (const std::string& error : errors) Require(error.empty(), error);
+  double end = start;
+  for (auto& samples : per_connection) {
+    for (QuerySample& sample : samples) {
+      end = std::max(end, sample.time.done);
+      out->push_back(std::move(sample));
+    }
+  }
+  return static_cast<double>(bodies.size()) / (end - start);
 }
 
 /// Re-executes the sampled answers on fresh engines over each answer's
@@ -400,10 +481,13 @@ int64_t VerifySamples(const std::string& dir,
   std::sort(versions.begin(), versions.end());
   versions.erase(std::unique(versions.begin(), versions.end()),
                  versions.end());
+  // Evenly spaced, from the first version to the last (the capacity
+  // passes' final one).
   std::vector<int64_t> chosen;
-  for (size_t i = 0; i < kCheckVersions && i < versions.size(); ++i) {
-    chosen.push_back(versions[i * versions.size() /
-                              std::min(kCheckVersions, versions.size())]);
+  const size_t n = versions.size();
+  const size_t count = std::min(kCheckVersions, n);
+  for (size_t i = 0; i < count; ++i) {
+    chosen.push_back(versions[count == 1 ? n - 1 : i * (n - 1) / (count - 1)]);
   }
   int64_t mismatches = 0;
   for (int64_t version : chosen) {
@@ -434,12 +518,14 @@ int64_t VerifySamples(const std::string& dir,
 using ApplySink = std::function<void(std::shared_ptr<deepeverest::Trace>)>;
 
 /// One segment of a run: a freshly started stack driven on the fixed
-/// schedule, and what it measured.
+/// schedule, then by the closed-loop capacity passes, and what it measured.
 struct Segment {
-  std::vector<QuerySample> samples;
+  std::vector<QuerySample> samples;  // the open loop's
+  std::vector<QuerySample> capacity_samples;
+  std::vector<double> capacity_qps;  // one per pass
   IngestResult ingest;
   ServedStats before;
-  ServedStats after;
+  ServedStats after;  // at the end of the open loop
   nn::InferenceStats forward;
   uint64_t written = 0;
   uint64_t read = 0;
@@ -447,8 +533,6 @@ struct Segment {
   uint64_t full_bytes = 0;
   uint64_t index_bytes = 0;
   uint64_t analytic_bytes = 0;
-  double start = 0.0;
-  double end = 0.0;
   int64_t mismatches = 0;
   size_t checked = 0;
   size_t versions_checked = 0;
@@ -456,15 +540,13 @@ struct Segment {
 
 Segment RunSegment(const Args& args, const std::string& dir,
                    const ApplySink& apply_sink,
-                   const std::vector<core::QuerySpec>& specs,
                    const std::vector<std::string>& bodies,
                    const std::vector<service::IngestInput>& inputs,
                    double seconds) {
   auto stack = std::make_unique<Stack>(dir, apply_sink);
   core::DeepEverest* engine = stack->system()->engine();
   storage::FileStore* store = stack->system()->store();
-  const int requests =
-      args.closed_loop ? 1 << 30 : static_cast<int>(seconds * kQueryRate);
+  const int requests = static_cast<int>(seconds * kQueryRate);
   const int batches = static_cast<int>(inputs.size()) / kIngestBatch;
   // A fresh connection per read: the server closes idle keep-alives.
   auto read_stats = [port = stack->port()] {
@@ -478,27 +560,20 @@ Segment RunSegment(const Args& args, const std::string& dir,
   const uint64_t read_before = store->bytes_read();
   const nn::InferenceStats forward_before = engine->inference()->stats();
   seg.before = read_stats();
-  seg.start = NowSeconds() + 0.05;
+  const double start = NowSeconds() + 0.05;
   std::vector<std::vector<QuerySample>> per_connection(kQueryConnections);
   std::vector<std::string> errors(kQueryConnections);
   {
     std::vector<std::thread> threads;
-    // Closed-loop connections stop when the time is up.
-    const double stop = args.closed_loop
-                            ? seg.start + seconds
-                            : std::numeric_limits<double>::infinity();
-    threads.emplace_back(IngestLoop, stack->port(), std::cref(inputs),
-                         seg.start, stop, batches, args.closed_loop,
-                         &seg.ingest);
+    threads.emplace_back(IngestLoop, stack->port(), std::cref(inputs), start,
+                         batches, &seg.ingest);
     for (int c = 0; c < kQueryConnections; ++c) {
-      threads.emplace_back(QueryLoop, stack->port(), std::cref(specs),
-                           std::cref(bodies), seg.start, stop, c, requests,
-                           args.closed_loop, args.trace, &per_connection[c],
+      threads.emplace_back(QueryLoop, stack->port(), std::cref(bodies), start,
+                           c, requests, args.trace, &per_connection[c],
                            &errors[c]);
     }
     for (std::thread& t : threads) t.join();
   }
-  seg.end = NowSeconds();
   for (const std::string& error : errors) Require(error.empty(), error);
   Require(seg.ingest.error.empty(), seg.ingest.error);
 
@@ -510,31 +585,71 @@ Segment RunSegment(const Args& args, const std::string& dir,
   seg.full_bytes = engine->FullMaterializationBytes();
   seg.index_bytes = engine->PersistedIndexBytes().ValueOr(0);
   seg.analytic_bytes = engine->AnalyticIndexBytes();
-  stack.reset();
   for (auto& samples : per_connection) {
     for (QuerySample& sample : samples) {
       seg.samples.push_back(std::move(sample));
     }
   }
 
-  // Answers: sampled queries re-executed over their pinned prefixes, and
-  // every ack must have been assigned the next dense id.
+  // Capacity: every ingested batch is visible now, so the passes run over
+  // the same grown dataset for a given seed, with nothing else in flight.
+  for (int p = 0; p < kCapacityPasses; ++p) {
+    seg.capacity_qps.push_back(CapacityPass(stack->port(), bodies, p == 0,
+                                            &seg.capacity_samples));
+  }
+  return seg;
+}
+
+/// The segment's answer check, outside every timed region: every ack must
+/// have been assigned the next dense id, and sampled answers are
+/// re-executed over their pinned prefixes.
+void VerifySegment(const std::string& dir,
+                   const std::vector<core::QuerySpec>& specs,
+                   const std::vector<service::IngestInput>& inputs,
+                   Segment* seg) {
   std::vector<service::IngestInput> ingested;
-  for (const auto& [batch, first_id] : seg.ingest.acked) {
-    if (first_id != kBaseInputs + ingested.size()) ++seg.mismatches;
+  for (const auto& [batch, first_id] : seg->ingest.acked) {
+    if (first_id != kBaseInputs + ingested.size()) ++seg->mismatches;
     const auto begin =
         inputs.begin() + static_cast<ptrdiff_t>(batch) * kIngestBatch;
     ingested.insert(ingested.end(), begin, begin + kIngestBatch);
   }
   std::vector<const QuerySample*> checked;
-  for (const QuerySample& sample : seg.samples) {
-    if (sample.ok && !sample.entries.empty()) checked.push_back(&sample);
+  for (const auto* samples : {&seg->samples, &seg->capacity_samples}) {
+    for (const QuerySample& sample : *samples) {
+      if (sample.ok && !sample.entries.empty()) checked.push_back(&sample);
+    }
   }
-  seg.checked = checked.size();
-  seg.mismatches += VerifySamples(dir + "-reference", specs, ingested,
-                                  checked, &seg.versions_checked);
-  return seg;
+  seg->checked = checked.size();
+  seg->mismatches +=
+      VerifySamples(dir, specs, ingested, checked, &seg->versions_checked);
 }
+
+/// The p99 of `values`, or their maximum when too few samples support one.
+double P99OrMax(const std::vector<double>& values) {
+  Require(!values.empty(), "no samples");
+  return Percentile(values, 0.99)
+      .value_or(*std::max_element(values.begin(), values.end()));
+}
+
+/// Send lags of the query and ingest streams of the open loop.
+struct Lags {
+  std::vector<double> queries, ingest;
+
+  /// Appends `seg`'s send lags, or only the generator's part of them.
+  void Add(const Segment& seg, bool generator_only) {
+    for (const QuerySample& s : seg.samples) {
+      queries.push_back(generator_only ? s.time.generator_lag()
+                                       : s.time.send_lag());
+    }
+    for (const OpenLoopSample& t : seg.ingest.sends) {
+      ingest.push_back(generator_only ? t.generator_lag() : t.send_lag());
+    }
+  }
+
+  /// The p99 of the worse stream.
+  double p99() const { return std::max(P99OrMax(queries), P99OrMax(ingest)); }
+};
 
 }  // namespace
 
@@ -555,70 +670,100 @@ void RunServedIngest(const Args& args, Report* report) {
     };
   }
 
-  // Set-up: start the whole serving stack several times; the median is
-  // setup_s. The seeded workload: the shared mixed query list in a seeded
-  // order, and Gaussian ingest inputs.
+  // The dataset grows by every ingested batch, so a long run is several
+  // segments of about kSegmentSeconds, each on a fresh stack from the same
+  // base; one long schedule would end in a different (saturated) regime.
+  const int segments = std::max(
+      1, static_cast<int>(std::lround(args.seconds / kSegmentSeconds)));
+  const double seconds = args.seconds / segments;
+
+  // Set-up: start the whole serving stack, kSetups times in a run, spread
+  // over the segments and each on the next CPU (where the stack's threads
+  // start too); the median is setup_s.
   std::vector<double> setup_s;
   std::vector<core::QuerySpec> specs;
-  for (int i = 0; i < kSetups; ++i) {
-    const double t0 = NowSeconds();
-    Stack stack(args.work_dir + "/setup", apply_sink);
-    setup_s.push_back(NowSeconds() - t0);
-    if (specs.empty()) {
-      specs = bench_util::MakeMixedWorkload(*stack.system()->model(), 240);
+  auto set_up = [&](int segment) {
+    for (int i = SetupsBefore(segment, segments, kSetups); i > 0; --i) {
+      PinToCpu(static_cast<int>(setup_s.size()));
+      const double t0 = NowSeconds();
+      Stack stack(args.work_dir + "/setup", apply_sink);
+      setup_s.push_back(NowSeconds() - t0);
+      if (specs.empty()) {
+        specs = bench_util::MakeMixedWorkload(*stack.system()->model(), 240);
+      }
     }
-  }
+    UnpinCpu();
+  };
+  set_up(0);
+
+  // The seeded workload: the shared mixed query list in a seeded order, and
+  // Gaussian ingest inputs.
   deepeverest::Rng order(args.seed * 104729 + 7);
   order.Shuffle(&specs);
   std::vector<std::string> bodies;
   for (const core::QuerySpec& spec : specs) {
     bodies.push_back(core::QuerySpecJson(spec));
   }
-
-  // The dataset grows by every ingested batch, so a long run is several
-  // segments of about kSegmentSeconds, each on a fresh stack from the same
-  // base; one long schedule would end in a different (saturated) regime.
-  const int segments =
-      args.closed_loop
-          ? 1
-          : std::max(1, static_cast<int>(
-                            std::lround(args.seconds / kSegmentSeconds)));
-  const double seconds = args.seconds / segments;
-  const int batches = static_cast<int>(
-      seconds * (args.closed_loop ? 1000.0 : kIngestRate));
+  const int batches = static_cast<int>(seconds * kIngestRate);
   const std::vector<service::IngestInput> inputs =
       MakeIngestInputs(args.seed, static_cast<size_t>(batches) * kIngestBatch);
-  std::vector<Segment> segs;
+  // A segment in which the generator itself fell behind is invalid, not a
+  // regression: it is run again. Its answers are still checked.
+  std::vector<Segment> segs, invalid;
   for (int k = 0; k < segments; ++k) {
-    segs.push_back(RunSegment(args,
-                              args.work_dir + "/served-" + std::to_string(k),
-                              apply_sink, specs, bodies, inputs, seconds));
+    if (k > 0) set_up(k);
+    for (;;) {
+      Segment seg = RunSegment(args,
+                               args.work_dir + "/served-" + std::to_string(k),
+                               apply_sink, bodies, inputs, seconds);
+      Lags lags;
+      lags.Add(seg, true);
+      if (lags.p99() <= kMaxGeneratorLagP99) {
+        segs.push_back(std::move(seg));
+        break;
+      }
+      report->Note("segment " + std::to_string(k) +
+                   " invalid and run again: generator lag p99 " +
+                   std::to_string(lags.p99() * 1e3) + " ms");
+      invalid.push_back(std::move(seg));
+      Require(static_cast<int>(invalid.size()) <= kMaxInvalidSegments,
+              "invalid run: the load generator fell behind its schedule in " +
+                  std::to_string(invalid.size()) + " segments");
+    }
   }
+  // Before the answer check, whose reference engines are not timed work.
   report->Set("peak_rss_mb", PeakRssMb(), "MB");
+  int64_t mismatches = 0;
+  size_t checked = 0, versions_checked = 0;
+  for (auto* group : {&segs, &invalid}) {
+    for (Segment& seg : *group) {
+      VerifySegment(args.work_dir + "/reference", specs, inputs, &seg);
+      mismatches += seg.mismatches;
+      checked += seg.checked;
+      versions_checked += seg.versions_checked;
+    }
+  }
 
   // Pool the samples of every segment.
-  std::vector<double> latency, traced_latency, untraced_latency, send_lag,
-      queue_wait, net_overhead, ack_s, visible_s, snapshot_s, storage_ratio;
+  std::vector<double> latency, traced_latency, untraced_latency, queue_wait,
+      net_overhead, ack_s, visible_s, snapshot_s, storage_ratio, capacity_qps;
   int64_t sent = 0, completed = 0, failed = 0, response_bytes = 0;
   int64_t rounds = 0, inputs_run = 0, traced_queries = 0;
-  int64_t mismatches = 0, acked = 0, lag_inputs_max = 0, applies = 0;
+  int64_t acked = 0, lag_inputs_max = 0, applies = 0;
   int64_t rejected = 0, ingest_attempted = 0, ingest_failed = 0;
+  int64_t capacity_sent = 0, capacity_failed = 0;
   double serialize_s = 0.0, nta_s = 0.0, nta_self_s = 0.0, latency_sum = 0.0;
-  double busy_s = 0.0, utilization = 0.0, batch_fill = 0.0;
-  size_t checked = 0, versions_checked = 0;
+  double utilization = 0.0, batch_fill = 0.0;
   uint64_t written = 0, read = 0;
   nn::InferenceStats forward;
   for (const Segment& seg : segs) {
-    double last_done = seg.start;
     for (const QuerySample& s : seg.samples) {
       ++sent;
-      send_lag.push_back(s.time.send_lag());
       if (!s.ok) {
         ++failed;
         continue;
       }
       ++completed;
-      last_done = std::max(last_done, s.time.done);
       latency.push_back(s.time.latency());
       latency_sum += s.time.latency();
       response_bytes += static_cast<int64_t>(s.bytes);
@@ -635,7 +780,12 @@ void RunServedIngest(const Args& args, Report* report) {
         nta_self_s += s.nta_self_s;
       }
     }
-    busy_s += last_done - seg.start;
+    for (const QuerySample& s : seg.capacity_samples) {
+      ++capacity_sent;
+      if (!s.ok) ++capacity_failed;
+    }
+    capacity_qps.insert(capacity_qps.end(), seg.capacity_qps.begin(),
+                        seg.capacity_qps.end());
     const IngestResult& in = seg.ingest;
     ack_s.insert(ack_s.end(), in.ack_s.begin(), in.ack_s.end());
     visible_s.insert(visible_s.end(), in.visible_s.begin(),
@@ -650,9 +800,6 @@ void RunServedIngest(const Args& args, Report* report) {
     rejected += seg.after.rejected - seg.before.rejected;
     utilization += seg.after.worker_utilization / segs.size();
     batch_fill += seg.after.batch_fill / segs.size();
-    mismatches += seg.mismatches;
-    checked += seg.checked;
-    versions_checked += seg.versions_checked;
     written += seg.written;
     read += seg.read;
     forward.inputs_run += seg.forward.inputs_run;
@@ -663,25 +810,33 @@ void RunServedIngest(const Args& args, Report* report) {
                             static_cast<double>(seg.full_bytes));
   }
   const Segment& last = segs.back();
-  if (args.closed_loop) {
-    report->Note("closed loop: " +
-                 std::to_string(static_cast<double>(completed) /
-                                (last.end - last.start)) +
-                 " queries/s, " +
-                 std::to_string(static_cast<double>(acked) /
-                                (last.end - last.start)) +
-                 " ingest batches/s");
-  }
   report->correct = mismatches == 0 && checked > 0;
-  report->attempted = sent + ingest_attempted;
-  report->failed = failed + ingest_failed;
+  // Operations of invalid segments count as attempted; only their timings
+  // are dropped.
+  int64_t invalid_attempted = 0, invalid_failed = 0;
+  for (const Segment& seg : invalid) {
+    for (const auto* samples : {&seg.samples, &seg.capacity_samples}) {
+      for (const QuerySample& s : *samples) {
+        ++invalid_attempted;
+        if (!s.ok) ++invalid_failed;
+      }
+    }
+    invalid_attempted += seg.ingest.attempted;
+    invalid_failed += seg.ingest.failed;
+  }
+  report->attempted =
+      sent + capacity_sent + ingest_attempted + invalid_attempted;
+  report->failed = failed + capacity_failed + ingest_failed + invalid_failed;
   // Indexes are built in set-up (ingest merges count under ingest.*), and
   // the demo engine runs without IQA.
   report->Unexercised({"iqa", "index.builds", "index.infer_s", "index.sort_s",
                        "index.persist_s"});
 
-  const double lag_p99 = Percentile(send_lag, 0.99).value_or(
-      *std::max_element(send_lag.begin(), send_lag.end()));
+  Lags send_lag, generator_lag;
+  for (const Segment& seg : segs) {
+    send_lag.Add(seg, false);
+    generator_lag.Add(seg, true);
+  }
   report->Note("TinyMlp, " + std::to_string(kBaseInputs) +
                " base inputs, seed " + std::to_string(args.seed) + ", " +
                std::to_string(segments) + " segments of " +
@@ -690,13 +845,21 @@ void RunServedIngest(const Args& args, Report* report) {
                " connections, " + std::to_string(kIngestRate) +
                " batches/s of " + std::to_string(kIngestBatch) +
                " inputs, snapshot every " + std::to_string(kSnapshotEvery) +
-               " batches");
+               " batches; then " + std::to_string(kCapacityPasses) +
+               " closed-loop passes of " + std::to_string(bodies.size()) +
+               " queries");
   report->Note("verified " + std::to_string(checked) + " sampled answers at " +
                std::to_string(versions_checked) +
                " dataset versions, mismatches " + std::to_string(mismatches));
+  report->Note("send lag p99 (generator's part): queries " +
+               std::to_string(P99OrMax(send_lag.queries) * 1e3) + " ms (" +
+               std::to_string(P99OrMax(generator_lag.queries) * 1e3) +
+               " ms), ingest " +
+               std::to_string(P99OrMax(send_lag.ingest) * 1e3) + " ms (" +
+               std::to_string(P99OrMax(generator_lag.ingest) * 1e3) + " ms)");
+  NoteSetups(report, setup_s);
   report->Set("setup_s", Median(setup_s), "s");
-  report->Set("queries_per_s", static_cast<double>(completed) / busy_s,
-              "1/s");
+  report->Set("queries_per_s", Median(capacity_qps), "1/s");
   SetPercentileMs(report, "query_p50_ms", latency, 0.5);
   SetPercentileMs(report, "query_p90_ms", latency, 0.9);
   SetPercentileMs(report, "query_p99_ms", latency, 0.99);
@@ -707,7 +870,7 @@ void RunServedIngest(const Args& args, Report* report) {
 
   report->Set("loadgen.sent", static_cast<double>(sent), "count");
   report->Set("loadgen.completed", static_cast<double>(completed), "count");
-  report->Set("loadgen.send_lag_p99_ms", lag_p99 * 1e3, "ms");
+  report->Set("loadgen.send_lag_p99_ms", generator_lag.p99() * 1e3, "ms");
   report->Set("index.bytes_disk", static_cast<double>(last.index_bytes), "B");
   report->Set("index.bytes_analytic", static_cast<double>(last.analytic_bytes),
               "B");
@@ -773,10 +936,6 @@ void RunServedIngest(const Args& args, Report* report) {
                     1e3,
                 "ms");
   }
-  Require(args.closed_loop || lag_p99 <= kMaxSendLagP99,
-          "invalid run: the load generator fell behind its schedule (send "
-          "lag p99 " + std::to_string(lag_p99 * 1e3) + " ms > " +
-              std::to_string(kMaxSendLagP99 * 1e3) + " ms)");
 }
 
 }  // namespace perfbench

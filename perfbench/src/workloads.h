@@ -18,9 +18,6 @@ struct Args {
   bool trace = false;
   /// Scratch directory inside the checkout; workloads put their stores here.
   std::string work_dir;
-  /// served_ingest only: drive the server closed-loop (no schedule) to
-  /// measure the capacity its fixed rates are sized against.
-  bool closed_loop = false;
 };
 
 /// Fig 6 workload 1 + Fig 11 on MiniResNet: indexes build on first touch,

@@ -1,9 +1,10 @@
 // Self-tests of the perfbench harness: percentile tail rule, metric names,
-// open-loop due-time accounting and span self time.
+// open-loop due-time accounting, span self time and the set-up spread.
 //
 //   perfbench_selftest [path/to/BENCHMARK.json]
 //
 // With a path, every metric name declared there is checked as well.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -96,7 +97,9 @@ void TestDueTimeAccounting() {
   for (size_t i = 0; i < service.size(); ++i) {
     perfbench::OpenLoopSample s;
     s.due = perfbench::DueTime(start, interval, static_cast<int64_t>(i));
-    s.sent = std::max(s.due, free_at);
+    s.ready = free_at;
+    // Request 6's thread sends 2 ms after its connection is free.
+    s.sent = std::max(s.due, free_at) + (i == 6 ? 0.002 : 0.0);
     s.done = s.sent + service[i];
     free_at = s.done;
     samples.push_back(s);
@@ -108,8 +111,12 @@ void TestDueTimeAccounting() {
   // sent and is charged that wait; a send-time clock would report 1 ms.
   Expect(near(samples[4].send_lag(), 0.040), "send lag behind a stall");
   Expect(near(samples[4].latency(), 0.041), "latency from the due time");
+  Expect(near(samples[4].generator_lag(), 0.0),
+         "waiting behind a busy connection is not the generator's lag");
   Expect(near(samples[5].latency(), 0.032), "backlog drains");
-  Expect(near(samples[6].latency(), 0.023), "backlog drains further");
+  Expect(near(samples[6].latency(), 0.025), "a late send counts in latency");
+  Expect(near(samples[6].generator_lag(), 0.002),
+         "lateness past a free connection is the generator's lag");
   Expect(near(samples[0].send_lag(), 0.0), "on-time send has no lag");
 }
 
@@ -128,6 +135,20 @@ void TestSpanSelfTime() {
   Expect(perfbench::SelfNanos(spans, 4) == 5, "leaf self time");
 }
 
+void TestSetupSpread() {
+  for (int parts = 1; parts <= 40; ++parts) {
+    int sum = 0, low = 1 << 30, high = 0;
+    for (int part = 0; part < parts; ++part) {
+      const int n = perfbench::SetupsBefore(part, parts, 16);
+      sum += n;
+      low = std::min(low, n);
+      high = std::max(high, n);
+    }
+    Expect(sum == 16 && high - low <= 1,
+           "16 set-ups spread evenly over " + std::to_string(parts) + " parts");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -135,6 +156,7 @@ int main(int argc, char** argv) {
   TestMetricNames(argc > 1 ? argv[1] : nullptr);
   TestDueTimeAccounting();
   TestSpanSelfTime();
+  TestSetupSpread();
   if (failures != 0) {
     std::fprintf(stderr, "perfbench_selftest: %d failures\n", failures);
     return 1;
