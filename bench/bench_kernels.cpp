@@ -6,7 +6,9 @@
 // must run everywhere the library builds. It times every KernelTable entry
 // under both dispatch modes (when the CPU has AVX2), asserts bitwise
 // scalar-vs-AVX2 parity on the measured outputs, and prints one JSON object
-// with rows/s (or values/s), effective GB/s and the per-kernel speedup.
+// with rows/s (or values/s, or MACs/s), effective GB/s and the per-kernel
+// speedup. The conv rows run every Conv2D shape of MiniVgg and MiniResNet
+// (stride 1, same padding, one HWC image per call) and also report GMAC/s.
 //
 // Exit status: 0 on success, 1 on any parity mismatch (CI fails the smoke).
 //
@@ -20,6 +22,7 @@
 //   DE_BENCH_KERNEL_REPS     timed repetitions, best-of        (default 20)
 
 #include <cinttypes>
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -63,10 +66,36 @@ double NowSeconds() {
 struct Result {
   std::string kernel;
   std::string mode;
-  double items_per_s = 0.0;  // rows/s for agg kernels, values/s otherwise
+  // rows/s for agg kernels, MACs/s for conv, values/s otherwise
+  double items_per_s = 0.0;
   double gb_per_s = 0.0;     // (bytes read + bytes written) / best time
   double best_seconds = 0.0;
 };
+
+/// One Conv2D layer of the model zoo (32x32x3 inputs).
+struct ConvLayer {
+  const char* name;
+  deepeverest::kernels::ConvShape shape;
+};
+
+const ConvLayer kConvLayers[] = {
+    {"minivgg.conv1", {32, 32, 3, 8, 3}},
+    {"minivgg.conv2", {16, 16, 8, 12, 3}},
+    {"minivgg.conv3", {8, 8, 12, 16, 3}},
+    {"minivgg.conv4", {4, 4, 16, 24, 3}},
+    {"miniresnet.stem_conv", {32, 32, 3, 8, 3}},
+    {"miniresnet.block1.conv", {16, 16, 8, 8, 3}},
+    {"miniresnet.block2.conv1", {8, 8, 8, 16, 3}},
+    {"miniresnet.block2.conv2", {8, 8, 16, 16, 3}},
+    {"miniresnet.block2.proj", {8, 8, 8, 16, 1}},
+    {"miniresnet.block3.conv1", {4, 4, 16, 32, 3}},
+    {"miniresnet.block3.conv2", {4, 4, 32, 32, 3}},
+    {"miniresnet.block3.proj", {4, 4, 16, 32, 1}},
+};
+
+/// MACs per timed conv repetition: small layers loop over enough images
+/// that one repetition is well above timer resolution.
+constexpr double kConvMacsPerRep = 2e7;
 
 /// Best-of-`reps` wall time of `fn()`; `bytes` and `items` describe ONE call.
 template <typename Fn>
@@ -249,6 +278,76 @@ int main() {
     }
   }
 
+  // ---- Conv2D, every model-zoo layer shape ----
+  for (const ConvLayer& layer : kConvLayers) {
+    const deepeverest::kernels::ConvShape& cs = layer.shape;
+    const size_t in_size =
+        static_cast<size_t>(cs.height * cs.width * cs.in_channels);
+    const size_t w_size = static_cast<size_t>(cs.kernel) * cs.kernel *
+                          cs.in_channels * cs.out_channels;
+    const size_t out_size =
+        static_cast<size_t>(cs.height * cs.width * cs.out_channels);
+    std::vector<float> image(in_size), cw(w_size), cb(cs.out_channels);
+    for (float& v : image) v = dist(rng) * 0.25f;
+    for (float& v : cw) v = dist(rng) * 0.1f;
+    for (float& v : cb) v = dist(rng) * 0.1f;
+    std::vector<float> cout(out_size), cout_scalar(out_size);
+    const double macs = static_cast<double>(out_size) * cs.kernel *
+                        cs.kernel * cs.in_channels;
+    const size_t images =
+        static_cast<size_t>(std::max(1.0, kConvMacsPerRep / macs));
+    const double conv_bytes =
+        static_cast<double>(images) * (in_size + out_size) * sizeof(float) +
+        static_cast<double>(w_size + cb.size()) * sizeof(float);
+    const std::string name = std::string("conv2d/") + layer.name;
+    for (size_t m = 0; m < num_modes; ++m) {
+      const KernelTable& table = GetKernelTable(modes[m]);
+      results.push_back(
+          Time(name, table.name, reps, macs * images, conv_bytes, [&] {
+            for (size_t i = 0; i < images; ++i) {
+              table.conv2d(image.data(), cs, cw.data(), cb.data(),
+                           cout.data());
+            }
+          }));
+      times[name][table.name] = results.back().best_seconds;
+      if (m == 0) {
+        cout_scalar = cout;
+      } else {
+        check_parity(name.c_str(), BitEqualF(cout_scalar, cout));
+      }
+    }
+  }
+
+  // ---- 2x2 max pooling, MiniResNet pool1 (32x32x8 -> 16x16x8) ----
+  {
+    const int64_t oh = 16, ow = 16, ch = 8;
+    std::vector<float> image(static_cast<size_t>(4 * oh * ow * ch));
+    for (float& v : image) v = dist(rng);
+    std::vector<float> pout(static_cast<size_t>(oh * ow * ch));
+    std::vector<float> pout_scalar(pout.size());
+    const size_t images = 256;
+    const double pool_values = static_cast<double>(images) * image.size();
+    const double pool_bytes =
+        static_cast<double>(images) * (image.size() + pout.size()) *
+        sizeof(float);
+    const std::string name = "max_pool2x2/miniresnet.pool1";
+    for (size_t m = 0; m < num_modes; ++m) {
+      const KernelTable& table = GetKernelTable(modes[m]);
+      results.push_back(
+          Time(name, table.name, reps, pool_values, pool_bytes, [&] {
+            for (size_t i = 0; i < images; ++i) {
+              table.max_pool2x2(image.data(), oh, ow, ch, pout.data());
+            }
+          }));
+      times[name][table.name] = results.back().best_seconds;
+      if (m == 0) {
+        pout_scalar = pout;
+      } else {
+        check_parity(name.c_str(), BitEqualF(pout_scalar, pout));
+      }
+    }
+  }
+
   // ---- JSON report ----
   char datebuf[32];
   const std::time_t now = std::time(nullptr);
@@ -262,14 +361,22 @@ int main() {
               rows, neurons, count, reps);
   std::printf("  \"gb_per_s_definition\": "
               "\"(bytes read + bytes written) / best wall time\",\n");
+  std::printf("  \"conv_definition\": \"one HWC image per call, stride 1, "
+              "same padding; items are multiply-adds\",\n");
   std::printf("  \"results\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {
     const Result& r = results[i];
+    // Conv rows count MACs as items, so their GMAC/s is items_per_s / 1e9.
+    char gmac[48] = "";
+    if (r.kernel.rfind("conv2d/", 0) == 0) {
+      std::snprintf(gmac, sizeof(gmac), ", \"gmac_per_s\": %.4f",
+                    r.items_per_s / 1e9);
+    }
     std::printf("    {\"kernel\": \"%s\", \"mode\": \"%s\", "
                 "\"items_per_s\": %.6g, \"gb_per_s\": %.4f, "
-                "\"best_seconds\": %.6g}%s\n",
+                "\"best_seconds\": %.6g%s}%s\n",
                 r.kernel.c_str(), r.mode.c_str(), r.items_per_s, r.gb_per_s,
-                r.best_seconds, i + 1 < results.size() ? "," : "");
+                r.best_seconds, gmac, i + 1 < results.size() ? "," : "");
   }
   std::printf("  ],\n");
   std::printf("  \"speedup_avx2_vs_scalar\": {");

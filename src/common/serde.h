@@ -101,6 +101,9 @@ class BinaryReader {
 
  private:
   Status Fixed(void* out, size_t n) {
+    // An empty vector decodes into a null data pointer; memcpy must not
+    // see it, even for zero bytes.
+    if (n == 0) return Status::OK();
     if (pos_ + n > size_) {
       return Status::IOError("truncated buffer: need " + std::to_string(n) +
                              " bytes, have " + std::to_string(size_ - pos_));

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
-#include <numeric>
 
 namespace deepeverest {
 namespace core {
@@ -11,6 +11,45 @@ namespace core {
 namespace {
 constexpr uint32_t kMagic = 0xDEE71DE8;
 constexpr float kInf = std::numeric_limits<float>::infinity();
+
+/// A 32-bit key whose unsigned ascending order is `v`'s descending order.
+/// -0.0 maps to +0.0's key, as the two compare equal.
+uint32_t DescendingKey(float v) {
+  if (v == 0.0f) v = 0.0f;
+  uint32_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  const uint32_t ascending = (bits & 0x80000000u) ? ~bits : bits | 0x80000000u;
+  return ~ascending;
+}
+
+/// Stable LSD radix sort of `keys[0, n)` by their high 32 bits, 8 bits per
+/// pass; `scratch` holds n keys. Passes whose byte is the same in every key
+/// are skipped.
+void RadixSortHigh32(uint64_t* keys, uint64_t* scratch, size_t n) {
+  size_t counts[4][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    for (int pass = 0; pass < 4; ++pass) {
+      ++counts[pass][(keys[i] >> (32 + 8 * pass)) & 0xff];
+    }
+  }
+  uint64_t* from = keys;
+  uint64_t* to = scratch;
+  for (int pass = 0; pass < 4; ++pass) {
+    const int shift = 32 + 8 * pass;
+    if (counts[pass][(from[0] >> shift) & 0xff] == n) continue;
+    size_t offsets[256];
+    size_t total = 0;
+    for (int b = 0; b < 256; ++b) {
+      offsets[b] = total;
+      total += counts[pass][b];
+    }
+    for (size_t i = 0; i < n; ++i) {
+      to[offsets[(from[i] >> shift) & 0xff]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  if (from != keys) std::memcpy(keys, from, n * sizeof(uint64_t));
+}
 }  // namespace
 
 Result<LayerIndex> LayerIndex::Build(
@@ -92,23 +131,36 @@ Result<LayerIndex> LayerIndex::Build(
   index.mai_.resize(static_cast<size_t>(index.num_neurons_) *
                     index.mai_count_);
 
-  // Reused scratch: inputIDs sorted by activation descending (ties by id so
-  // builds are deterministic).
-  std::vector<uint32_t> order(acts.num_inputs);
+  // Neurons are sorted in blocks of kSortBlock: one pass over the block's
+  // columns of every row gathers the sort keys (DescendingKey << 32 | id),
+  // then each neuron's keys are radix-sorted. Gather order is id-ascending
+  // and the sort is stable, so equal activations keep ids ascending, the
+  // same order as sorting by (activation desc, id asc).
+  constexpr int64_t kSortBlock = 16;
+  const size_t n = acts.num_inputs;
+  std::vector<uint64_t> keys(static_cast<size_t>(kSortBlock) * n);
+  std::vector<uint64_t> scratch(n);
   for (int64_t neuron = 0; neuron < index.num_neurons_; ++neuron) {
-    std::iota(order.begin(), order.end(), 0u);
-    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-      const float va = acts.At(a, static_cast<uint64_t>(neuron));
-      const float vb = acts.At(b, static_cast<uint64_t>(neuron));
-      if (va != vb) return va > vb;
-      return a < b;
-    });
+    const int64_t in_block = neuron % kSortBlock;
+    if (in_block == 0) {
+      const int64_t width = std::min(kSortBlock, index.num_neurons_ - neuron);
+      for (uint32_t id = 0; id < acts.num_inputs; ++id) {
+        const float* row = acts.Row(id) + neuron;
+        for (int64_t j = 0; j < width; ++j) {
+          keys[static_cast<size_t>(j) * n + id] =
+              static_cast<uint64_t>(DescendingKey(row[j])) << 32 | id;
+        }
+      }
+    }
+    uint64_t* sorted = keys.data() + static_cast<size_t>(in_block) * n;
+    RadixSortHigh32(sorted, scratch.data(), n);
 
     size_t rank = 0;
     for (int pid = 0; pid < num_partitions; ++pid) {
-      const size_t bound_idx = index.BoundIndex(neuron, static_cast<uint32_t>(pid));
+      const size_t bound_idx =
+          index.BoundIndex(neuron, static_cast<uint32_t>(pid));
       for (uint32_t j = 0; j < sizes[static_cast<size_t>(pid)]; ++j, ++rank) {
-        const uint32_t input_id = order[rank];
+        const uint32_t input_id = static_cast<uint32_t>(sorted[rank]);
         const float act = acts.At(input_id, static_cast<uint64_t>(neuron));
         index.pids_.Set(
             static_cast<size_t>(neuron) * index.num_inputs_ + input_id,
@@ -304,7 +356,8 @@ void LayerIndex::GetInputIds(int64_t neuron, uint32_t pid,
   uint64_t buf[kBlock];
   const size_t base = static_cast<size_t>(neuron) * num_inputs_;
   for (size_t begin = 0; begin < num_inputs_; begin += kBlock) {
-    const size_t count = std::min(kBlock, static_cast<size_t>(num_inputs_) - begin);
+    const size_t count =
+        std::min(kBlock, static_cast<size_t>(num_inputs_) - begin);
     pids_.GetMany(base + begin, count, buf);
     for (size_t i = 0; i < count; ++i) {
       if (buf[i] == pid) out->push_back(static_cast<uint32_t>(begin + i));

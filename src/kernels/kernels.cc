@@ -87,6 +87,8 @@ constexpr KernelTable kScalarTable = {
      ValueAggWL2Scalar},
     internal::UnpackScalar,
     internal::DequantRowScalar,
+    internal::Conv2DScalar,
+    internal::MaxPool2x2Scalar,
     "scalar",
 };
 

@@ -11,7 +11,8 @@ namespace kernels {
 ///
 /// Everything on a per-candidate path — batched distance aggregation over
 /// row blocks, bulk bit-unpacking of NPI partition ids, 8-bit dequantisation
-/// — runs through one KernelTable of plain function pointers. Two tables
+/// — and the forward pass's convolution and max pooling run through one
+/// KernelTable of plain function pointers. Two tables
 /// exist: a portable scalar one and an AVX2 one (compiled in its own
 /// translation unit with -mavx2 -ffp-contract=off). Which table serves the
 /// process is decided exactly once, on first use, from cpuid plus the
@@ -22,9 +23,13 @@ namespace kernels {
 /// returns results bit-identical to the scalar table. The AVX2 aggregation
 /// kernels keep one *row per SIMD lane* and walk columns sequentially, so
 /// each row's floating-point op order matches the scalar loop exactly; FMA
-/// contraction is disabled in both kernel TUs. The seeded parity suite
+/// contraction is disabled in both kernel TUs. The AVX2 convolution keeps
+/// one output channel per lane and adds the same taps in the same order as
+/// the scalar loop, skipping out-of-image taps as it does; max pooling
+/// picks the operand std::max picks. The seeded parity suite
 /// (tests/kernels/) pins this, which is what lets the §4.6 fresh-scan
-/// reference stay bit-equal to the service path under either dispatch mode.
+/// reference stay bit-equal to the service path under either dispatch mode,
+/// and keeps every activation, and so every index and answer, the same.
 
 /// Which kernel table serves a call.
 enum class DispatchMode {
@@ -41,6 +46,17 @@ enum class AggKind : int {
   kWeightedL2 = 3,
 };
 inline constexpr int kNumAggKinds = 4;
+
+/// Geometry of one stride-1, "same"-padded 2D convolution over an HWC image:
+/// input height x width x in_channels, output height x width x out_channels,
+/// weights [kernel][kernel][in_channels][out_channels], kernel odd.
+struct ConvShape {
+  int64_t height = 0;
+  int64_t width = 0;
+  int in_channels = 0;
+  int out_channels = 0;
+  int kernel = 0;
+};
 
 /// \brief One dispatchable kernel set. All function pointers are non-null in
 /// both tables (entries without a profitable SIMD form point at the scalar
@@ -67,11 +83,28 @@ struct KernelTable {
   /// against the per-neuron ranges (QuantizedActivationMatrix layout).
   using DequantRowFn = void (*)(const uint8_t* codes, const float* min_value,
                                 const float* scale, size_t n, float* out);
+  /// out[h][w][c] = bias[c], then `+= in[ih][iw][i] * weights[kh][kw][i][c]`
+  /// for every tap (kh, kw, i) in that order, with ih = h + kh - kernel / 2
+  /// and iw likewise. Taps that fall outside the image are skipped, never
+  /// multiplied by a zero pad (0 * inf and -0.0 + 0.0 would change bits).
+  using Conv2DFn = void (*)(const float* in, const ConvShape& shape,
+                            const float* weights, const float* bias,
+                            float* out);
+  /// 2x2, stride-2 max pooling of an HWC image of (2 * out_height) x
+  /// (2 * out_width) x channels: out = std::max(std::max(a, b),
+  /// std::max(d, e)) over the window's top-left, top-right, bottom-left and
+  /// bottom-right values, so NaN and signed-zero ties resolve as std::max
+  /// does.
+  using MaxPool2x2Fn = void (*)(const float* in, int64_t out_height,
+                                int64_t out_width, int64_t channels,
+                                float* out);
 
   AbsDiffAggFn abs_diff_agg[kNumAggKinds];
   ValueAggFn value_agg[kNumAggKinds];
   UnpackFn unpack;
   DequantRowFn dequant_row;
+  Conv2DFn conv2d;
+  MaxPool2x2Fn max_pool2x2;
   const char* name;
 };
 

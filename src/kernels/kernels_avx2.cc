@@ -15,13 +15,17 @@
 //    selection (vmaxpd picks the second operand on ties, which flips the
 //    sign bit when -0.0 meets +0.0);
 //  - row tails and non-SIMD widths run the shared scalar bodies from
-//    kernels_scalar_inl.h.
+//    kernels_scalar_inl.h;
+//  - the convolution keeps one output channel per float lane and adds the
+//    scalar loop's taps in its order (vmulps then vaddps, never FMA);
+//    max pooling uses vmaxps with std::max's operand order.
 #include "kernels/kernels.h"
 
 #if defined(__AVX2__)
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/logging.h"
@@ -379,12 +383,187 @@ void DequantRowAvx2(const uint8_t* codes, const float* min_value,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Conv2D. Output channels live in 8-lane accumulators, in groups of up to
+// four blocks (32 channels); the group's last block is masked when its
+// channel count is not a multiple of 8. P adjacent output pixels of one row
+// share every weight load, with P chosen so the P x NB accumulators, the NB
+// weights and a broadcast fit in the 16 ymm registers.
+//
+// Each accumulator lane is one output element and sees exactly the scalar
+// sequence: the bias, then `acc + v * w` per in-image tap in (kh, kw, i)
+// order, as a separate vmulps and vaddps. For one output pixel the in-image
+// kernel columns form one contiguous range [kw_lo, kw_hi), and over it the
+// (kw, i) taps are one contiguous run of both the input row and the
+// weights. Border pixels run that shorter run one pixel at a time, so taps
+// outside the image are skipped exactly as the scalar loop skips them.
+// ---------------------------------------------------------------------------
+
+struct ConvArgs {
+  const float* in;
+  ConvShape shape;
+  const float* weights;
+  const float* bias;
+  float* out;
+  int c0;             // first output channel of the current group
+  __m256i tail_mask;  // lanes of the group's last block (when kTail)
+};
+
+template <int NB, bool kTail>
+inline __m256 LoadChannels(const float* p, int b, __m256i tail_mask) {
+  if (kTail && b == NB - 1) return _mm256_maskload_ps(p, tail_mask);
+  return _mm256_loadu_ps(p);
+}
+
+template <int NB, bool kTail>
+inline void StoreChannels(float* p, int b, __m256i tail_mask, __m256 v) {
+  if (kTail && b == NB - 1) {
+    _mm256_maskstore_ps(p, tail_mask, v);
+  } else {
+    _mm256_storeu_ps(p, v);
+  }
+}
+
+/// Output pixels (h, w0) .. (h, w0 + P - 1), channels [c0, c0 + 8 * NB),
+/// over kernel columns [kw_lo, kw_hi), which must be in-image for all P.
+template <int NB, int P, bool kTail>
+inline void ConvPixels(const ConvArgs& a, int64_t h, int64_t w0, int kw_lo,
+                       int kw_hi) {
+  const ConvShape& s = a.shape;
+  const int ic = s.in_channels;
+  const int oc = s.out_channels;
+  const int k = s.kernel;
+  const int pad = k / 2;
+  __m256 acc[P][NB];
+#pragma GCC unroll 4
+  for (int b = 0; b < NB; ++b) {
+    const __m256 bias =
+        LoadChannels<NB, kTail>(a.bias + a.c0 + 8 * b, b, a.tail_mask);
+#pragma GCC unroll 8
+    for (int p = 0; p < P; ++p) acc[p][b] = bias;
+  }
+  const int kh_lo = static_cast<int>(std::max<int64_t>(0, pad - h));
+  const int kh_hi = static_cast<int>(std::min<int64_t>(k, s.height + pad - h));
+  const int run = (kw_hi - kw_lo) * ic;
+  for (int kh = kh_lo; kh < kh_hi; ++kh) {
+    const float* x = a.in + ((h + kh - pad) * s.width + w0 + kw_lo - pad) * ic;
+    const float* wt =
+        a.weights + (static_cast<size_t>(kh) * k + kw_lo) * ic * oc + a.c0;
+    for (int j = 0; j < run; ++j, wt += oc) {
+      __m256 wv[NB];
+#pragma GCC unroll 4
+      for (int b = 0; b < NB; ++b) {
+        wv[b] = LoadChannels<NB, kTail>(wt + 8 * b, b, a.tail_mask);
+      }
+#pragma GCC unroll 8
+      for (int p = 0; p < P; ++p) {
+        const __m256 v = _mm256_broadcast_ss(x + p * ic + j);
+#pragma GCC unroll 4
+        for (int b = 0; b < NB; ++b) {
+          acc[p][b] = _mm256_add_ps(acc[p][b], _mm256_mul_ps(v, wv[b]));
+        }
+      }
+    }
+  }
+#pragma GCC unroll 8
+  for (int p = 0; p < P; ++p) {
+    float* o = a.out + (h * s.width + w0 + p) * oc + a.c0;
+#pragma GCC unroll 4
+    for (int b = 0; b < NB; ++b) {
+      StoreChannels<NB, kTail>(o + 8 * b, b, a.tail_mask, acc[p][b]);
+    }
+  }
+}
+
+/// One channel group over the whole image: the interior in blocks of P
+/// pixels, then of P / 2; border columns and what is left one pixel at a
+/// time.
+template <int NB, int P, bool kTail>
+void ConvChannelGroup(const ConvArgs& a) {
+  const ConvShape& s = a.shape;
+  const int k = s.kernel;
+  const int pad = k / 2;
+  const auto one_pixel = [&](int64_t h, int64_t w) {
+    const int kw_lo = static_cast<int>(std::max<int64_t>(0, pad - w));
+    const int kw_hi =
+        static_cast<int>(std::min<int64_t>(k, s.width + pad - w));
+    ConvPixels<NB, 1, kTail>(a, h, w, kw_lo, kw_hi);
+  };
+  for (int64_t h = 0; h < s.height; ++h) {
+    int64_t w = 0;
+    for (; w < pad && w < s.width; ++w) one_pixel(h, w);
+    for (; w + P <= s.width - pad; w += P) {
+      ConvPixels<NB, P, kTail>(a, h, w, 0, k);
+    }
+    if (P / 2 > 1 && w + P / 2 <= s.width - pad) {
+      ConvPixels<NB, P / 2, kTail>(a, h, w, 0, k);
+      w += P / 2;
+    }
+    for (; w < s.width; ++w) one_pixel(h, w);
+  }
+}
+
+void Conv2DAvx2(const float* in, const ConvShape& shape, const float* weights,
+                const float* bias, float* out) {
+  // [8-lane blocks - 1][masked last block]; P by block count as above.
+  using GroupFn = void (*)(const ConvArgs&);
+  static constexpr GroupFn kGroups[4][2] = {
+      {ConvChannelGroup<1, 6, false>, ConvChannelGroup<1, 6, true>},
+      {ConvChannelGroup<2, 4, false>, ConvChannelGroup<2, 4, true>},
+      {ConvChannelGroup<3, 3, false>, ConvChannelGroup<3, 3, true>},
+      {ConvChannelGroup<4, 2, false>, ConvChannelGroup<4, 2, true>},
+  };
+  ConvArgs a{in, shape, weights, bias, out, 0, _mm256_setzero_si256()};
+  const int oc = shape.out_channels;
+  for (int c0 = 0; c0 < oc; c0 += 32) {
+    const int group = std::min(32, oc - c0);
+    const int tail = group % 8;
+    a.c0 = c0;
+    a.tail_mask = _mm256_cmpgt_epi32(_mm256_set1_epi32(tail),
+                                     _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    kGroups[(group + 7) / 8 - 1][tail != 0 ? 1 : 0](a);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// 2x2 max pooling, 8 channels at a time. std::max(a, b) is (a < b) ? b : a;
+// vmaxps(x, y) is (x > y) ? x : y, so vmaxps(b, a) returns a on ties and
+// when either side is NaN, exactly as std::max does. Channel tails run the
+// shared scalar body.
+// ---------------------------------------------------------------------------
+
+inline __m256 MaxLikeStdPs(__m256 a, __m256 b) { return _mm256_max_ps(b, a); }
+
+void MaxPool2x2Avx2(const float* in, int64_t out_height, int64_t out_width,
+                    int64_t channels, float* out) {
+  const int64_t in_row = 2 * out_width * channels;
+  for (int64_t h = 0; h < out_height; ++h) {
+    for (int64_t w = 0; w < out_width; ++w) {
+      const float* top = in + 2 * h * in_row + 2 * w * channels;
+      const float* bottom = top + in_row;
+      float* o = out + (h * out_width + w) * channels;
+      int64_t ch = 0;
+      for (; ch + 8 <= channels; ch += 8) {
+        const __m256 ab = MaxLikeStdPs(_mm256_loadu_ps(top + ch),
+                                       _mm256_loadu_ps(top + channels + ch));
+        const __m256 de =
+            MaxLikeStdPs(_mm256_loadu_ps(bottom + ch),
+                         _mm256_loadu_ps(bottom + channels + ch));
+        _mm256_storeu_ps(o + ch, MaxLikeStdPs(ab, de));
+      }
+      internal::MaxPool2x2Pixel(top, bottom, channels, ch, o);
+    }
+  }
+}
+
 constexpr KernelTable kAvx2Table = {
     {AbsDiffAggL1Avx2, AbsDiffAggL2Avx2, AbsDiffAggLInfAvx2,
      AbsDiffAggWL2Avx2},
     {ValueAggL1Avx2, ValueAggL2Avx2, ValueAggLInfAvx2, ValueAggWL2Avx2},
     UnpackAvx2,
     DequantRowAvx2,
+    Conv2DAvx2,
+    MaxPool2x2Avx2,
     "avx2",
 };
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "kernels/kernels.h"
+
 namespace deepeverest {
 namespace nn {
 
@@ -82,37 +84,10 @@ Result<Shape> Conv2D::OutputShape(const Shape& input) const {
 Status Conv2D::Forward(const Tensor& input, Tensor* out) const {
   DE_ASSIGN_OR_RETURN(Shape out_shape, OutputShape(input.shape()));
   *out = Tensor(out_shape);
-  const int64_t height = input.shape().dim(0);
-  const int64_t width = input.shape().dim(1);
-  const int ic = in_channels_;
-  const int oc = out_channels_;
-  const int pad = kernel_ / 2;
-  const float* in = input.data();
-  float* o = out->data();
-
-  for (int64_t h = 0; h < height; ++h) {
-    for (int64_t w = 0; w < width; ++w) {
-      float* out_px = o + (h * width + w) * oc;
-      for (int c = 0; c < oc; ++c) out_px[c] = bias_[static_cast<size_t>(c)];
-      for (int kh = 0; kh < kernel_; ++kh) {
-        const int64_t ih = h + kh - pad;
-        if (ih < 0 || ih >= height) continue;
-        for (int kw = 0; kw < kernel_; ++kw) {
-          const int64_t iw = w + kw - pad;
-          if (iw < 0 || iw >= width) continue;
-          const float* in_px = in + (ih * width + iw) * ic;
-          const float* wbase =
-              weights_.data() +
-              (static_cast<size_t>(kh) * kernel_ + kw) * ic * oc;
-          for (int i = 0; i < ic; ++i) {
-            const float v = in_px[i];
-            const float* wrow = wbase + static_cast<size_t>(i) * oc;
-            for (int c = 0; c < oc; ++c) out_px[c] += v * wrow[c];
-          }
-        }
-      }
-    }
-  }
+  const kernels::ConvShape shape{input.shape().dim(0), input.shape().dim(1),
+                                 in_channels_, out_channels_, kernel_};
+  kernels::Active().conv2d(input.data(), shape, weights_.data(), bias_.data(),
+                           out->data());
   return Status::OK();
 }
 
@@ -183,8 +158,8 @@ int64_t Relu::MacsFor(const Shape& input) const { return input.NumElements(); }
 Result<Shape> MaxPool2D::OutputShape(const Shape& input) const {
   DE_RETURN_NOT_OK(ExpectRank(input, 3, name()));
   if (input.dim(0) % 2 != 0 || input.dim(1) % 2 != 0) {
-    return Status::InvalidArgument(name() + ": spatial dims must be even, got " +
-                                   input.ToString());
+    return Status::InvalidArgument(
+        name() + ": spatial dims must be even, got " + input.ToString());
   }
   return Shape({input.dim(0) / 2, input.dim(1) / 2, input.dim(2)});
 }
@@ -192,20 +167,9 @@ Result<Shape> MaxPool2D::OutputShape(const Shape& input) const {
 Status MaxPool2D::Forward(const Tensor& input, Tensor* out) const {
   DE_ASSIGN_OR_RETURN(Shape out_shape, OutputShape(input.shape()));
   *out = Tensor(out_shape);
-  const int64_t oh = out_shape.dim(0);
-  const int64_t ow = out_shape.dim(1);
-  const int64_t c = out_shape.dim(2);
-  for (int64_t h = 0; h < oh; ++h) {
-    for (int64_t w = 0; w < ow; ++w) {
-      for (int64_t ch = 0; ch < c; ++ch) {
-        const float a = input.At(2 * h, 2 * w, ch);
-        const float b = input.At(2 * h, 2 * w + 1, ch);
-        const float d = input.At(2 * h + 1, 2 * w, ch);
-        const float e = input.At(2 * h + 1, 2 * w + 1, ch);
-        out->At(h, w, ch) = std::max(std::max(a, b), std::max(d, e));
-      }
-    }
-  }
+  kernels::Active().max_pool2x2(input.data(), out_shape.dim(0),
+                                out_shape.dim(1), out_shape.dim(2),
+                                out->data());
   return Status::OK();
 }
 

@@ -62,6 +62,29 @@ TEST(SerdeTest, StringAndVectors) {
   EXPECT_TRUE(u64s.empty());
 }
 
+TEST(SerdeTest, EmptyVectorsRoundTrip) {
+  BinaryWriter writer;
+  writer.WriteF32Vector({});
+  writer.WriteU32Vector({});
+  writer.WriteU64Vector({});
+  writer.WriteU32(7);
+
+  BinaryReader reader(writer.buffer());
+  std::vector<float> f32s = {1.0f};
+  std::vector<uint32_t> u32s = {1u};
+  std::vector<uint64_t> u64s = {1u};
+  uint32_t tail = 0;
+  ASSERT_TRUE(reader.ReadF32Vector(&f32s).ok());
+  ASSERT_TRUE(reader.ReadU32Vector(&u32s).ok());
+  ASSERT_TRUE(reader.ReadU64Vector(&u64s).ok());
+  ASSERT_TRUE(reader.ReadU32(&tail).ok());
+  EXPECT_TRUE(f32s.empty());
+  EXPECT_TRUE(u32s.empty());
+  EXPECT_TRUE(u64s.empty());
+  EXPECT_EQ(tail, 7u);
+  EXPECT_TRUE(reader.AtEnd());
+}
+
 TEST(SerdeTest, TruncatedBufferIsIOError) {
   BinaryWriter writer;
   writer.WriteU64(1);

@@ -1,7 +1,15 @@
 #include "core/npi.h"
 
+#include <algorithm>
+#include <limits>
+#include <numeric>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/bit_pack.h"
+#include "common/rng.h"
+#include "common/serde.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -262,6 +270,115 @@ TEST(NpiTest, TiesBrokenDeterministically) {
   for (int pid = 0; pid < 3; ++pid) {
     EXPECT_FLOAT_EQ(index->LowerBound(0, pid), 1.0f);
     EXPECT_FLOAT_EQ(index->UpperBound(0, pid), 1.0f);
+  }
+}
+
+/// The oracle for Build's sort: the equi-depth build with every neuron's
+/// inputs ordered by the original comparator (activation descending, ties
+/// by input id ascending, -0.0 == +0.0), serialized in LayerIndex's format.
+std::vector<uint8_t> SerializeComparatorBuild(
+    const storage::LayerActivationMatrix& acts,
+    const LayerIndexConfig& config) {
+  const uint32_t n = acts.num_inputs;
+  const int64_t neurons = static_cast<int64_t>(acts.num_neurons);
+  const uint32_t mai_count =
+      std::min(n, static_cast<uint32_t>(config.mai_ratio * n));
+  const uint32_t rest = n - mai_count;
+  const int parts = mai_count > 0 ? std::min(config.num_partitions,
+                                             1 + static_cast<int>(rest))
+                                   : std::min(config.num_partitions,
+                                              static_cast<int>(n));
+  std::vector<uint32_t> sizes(static_cast<size_t>(parts), 0);
+  const int first = mai_count > 0 ? 1 : 0;
+  if (mai_count > 0) sizes[0] = mai_count;
+  const int equi = parts - first;
+  for (int p = 0; p < equi; ++p) {
+    sizes[static_cast<size_t>(first + p)] =
+        rest / static_cast<uint32_t>(equi) +
+        (static_cast<uint32_t>(p) < rest % static_cast<uint32_t>(equi) ? 1
+                                                                        : 0);
+  }
+
+  const float inf = std::numeric_limits<float>::infinity();
+  PackedIntArray pids(static_cast<size_t>(neurons) * n,
+                      PackedIntArray::BitsFor(static_cast<uint64_t>(parts)));
+  std::vector<float> lower(static_cast<size_t>(neurons * parts), inf);
+  std::vector<float> upper(static_cast<size_t>(neurons * parts), -inf);
+  std::vector<float> mai_acts(static_cast<size_t>(neurons) * mai_count);
+  std::vector<uint32_t> mai_ids(mai_acts.size());
+  std::vector<uint32_t> order(n);
+  for (int64_t neuron = 0; neuron < neurons; ++neuron) {
+    const uint64_t col = static_cast<uint64_t>(neuron);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      const float va = acts.At(a, col);
+      const float vb = acts.At(b, col);
+      if (va != vb) return va > vb;
+      return a < b;
+    });
+    size_t rank = 0;
+    for (int pid = 0; pid < parts; ++pid) {
+      const size_t bound = static_cast<size_t>(neuron * parts + pid);
+      for (uint32_t j = 0; j < sizes[static_cast<size_t>(pid)]; ++j, ++rank) {
+        const uint32_t id = order[rank];
+        const float act = acts.At(id, col);
+        pids.Set(static_cast<size_t>(neuron) * n + id,
+                 static_cast<uint64_t>(pid));
+        if (j == 0) upper[bound] = act;
+        lower[bound] = act;
+        if (pid == 0 && mai_count > 0) {
+          mai_acts[static_cast<size_t>(neuron) * mai_count + j] = act;
+          mai_ids[static_cast<size_t>(neuron) * mai_count + j] = id;
+        }
+      }
+    }
+  }
+  BinaryWriter writer;
+  writer.WriteU32(0xDEE71DE8);  // LayerIndex magic
+  writer.WriteU32(n);
+  writer.WriteI64(neurons);
+  writer.WriteI32(parts);
+  writer.WriteU32(mai_count);
+  writer.WriteF32Vector(lower);
+  writer.WriteF32Vector(upper);
+  writer.WriteU64Vector(pids.words());
+  writer.WriteF32Vector(mai_acts);
+  writer.WriteU32Vector(mai_ids);
+  return writer.TakeBuffer();
+}
+
+TEST(NpiTest, BuildMatchesComparatorSortBitForBit) {
+  // Values from a small pool so most neurons have long runs of ties, with
+  // both zero signs (equal under the comparator), negatives, infinities and
+  // denormals; 37 neurons leave a partial block of the build's neuron
+  // blocking.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float pool[] = {-0.0f,   0.0f,   -0.0f, 0.0f, 1.5f, -2.25f,
+                        -1e-40f, 1e-40f, 3.0f,  -inf, inf,  0.5f};
+  const uint32_t num_inputs = 300;
+  const uint64_t num_neurons = 37;
+  storage::LayerActivationMatrix m =
+      storage::LayerActivationMatrix::Make(num_inputs, num_neurons);
+  Rng rng(77);
+  for (uint32_t i = 0; i < num_inputs; ++i) {
+    for (uint64_t j = 0; j < num_neurons; ++j) {
+      // Every third neuron draws fresh values, which exercises every byte
+      // of the radix key.
+      m.MutableRow(i)[j] =
+          j % 3 == 0 ? static_cast<float>(rng.NextGaussian() * 4.0)
+                     : pool[rng.NextUint64(sizeof(pool) / sizeof(pool[0]))];
+    }
+  }
+  const LayerIndexConfig configs[] = {
+      {16, 0.0}, {16, 0.1}, {5, 0.25}, {1, 0.0}, {2, 0.5}, {400, 0.0}};
+  for (const LayerIndexConfig& config : configs) {
+    auto index = LayerIndex::Build(m, config);
+    ASSERT_TRUE(index.ok()) << index.status().ToString();
+    BinaryWriter writer;
+    index->Serialize(&writer);
+    EXPECT_EQ(writer.buffer(), SerializeComparatorBuild(m, config))
+        << "partitions " << config.num_partitions << " mai "
+        << config.mai_ratio;
   }
 }
 

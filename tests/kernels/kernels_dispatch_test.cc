@@ -73,6 +73,8 @@ TEST(KernelDispatchTest, ScalarTableAlwaysAvailable) {
   }
   EXPECT_NE(table.unpack, nullptr);
   EXPECT_NE(table.dequant_row, nullptr);
+  EXPECT_NE(table.conv2d, nullptr);
+  EXPECT_NE(table.max_pool2x2, nullptr);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,6 +187,115 @@ TEST_F(KernelsParityTest, DequantRowAllLengths) {
               0)
         << "n=" << n;
   }
+}
+
+/// A float from `rng`: mostly uniform in [-2, 2), with about 1 in 10 each of
+/// -0.0 and +0.0 and 1 in 40 each of a denormal and an infinity of either
+/// sign.
+float SpecialMix(Rng* rng) {
+  const uint64_t pick = rng->NextUint64(80);
+  if (pick < 8) return -0.0f;
+  if (pick < 16) return 0.0f;
+  if (pick < 18) return pick % 2 == 0 ? 3e-39f : -7e-40f;
+  if (pick < 20) {
+    return pick % 2 == 0 ? std::numeric_limits<float>::infinity()
+                         : -std::numeric_limits<float>::infinity();
+  }
+  return static_cast<float>(rng->NextDouble() * 4.0 - 2.0);
+}
+
+// Every channel-group shape the AVX2 conv has (8-lane blocks, masked
+// tails, groups above 32 channels do not occur in the models but 24 and 32
+// fill three and four blocks), every kernel size of the models plus 5, and
+// images smaller than, equal to and larger than the kernel, so border-only
+// rows, the P-pixel interior blocks and their leftovers all run. Inputs and
+// weights carry -0.0 and infinities, and a third of the biases are -0.0: a
+// border tap multiplied by a zero pad instead of skipped turns -0.0 into
+// +0.0 or an infinite weight into NaN, and shows here.
+TEST_F(KernelsParityTest, Conv2DSweepBitIdentical) {
+  const KernelTable& scalar = GetKernelTable(DispatchMode::kScalar);
+  const KernelTable& avx2 = GetKernelTable(DispatchMode::kAvx2);
+  Rng rng(1313);
+  constexpr size_t kSlack = 8;  // sentinel floats past the output
+  for (const int oc : {4, 8, 12, 16, 24, 32}) {
+    for (const int ic : {1, 3, 8, 16}) {
+      for (const int k : {1, 3, 5}) {
+        for (const int64_t h : {1, 2, 3, 7, 16}) {
+          for (const int64_t w : {1, 2, 3, 7, 16}) {
+            const ConvShape shape{h, w, ic, oc, k};
+            std::vector<float> in(static_cast<size_t>(h * w * ic));
+            for (float& v : in) v = SpecialMix(&rng);
+            std::vector<float> weights(static_cast<size_t>(k * k * ic * oc));
+            for (float& v : weights) v = SpecialMix(&rng);
+            std::vector<float> bias(static_cast<size_t>(oc));
+            for (size_t c = 0; c < bias.size(); ++c) {
+              bias[c] = c % 3 == 0 ? -0.0f
+                                   : static_cast<float>(rng.NextDouble() - 0.5);
+            }
+            const size_t out_size = static_cast<size_t>(h * w * oc);
+            std::vector<float> out_scalar(out_size + kSlack, 12345.0f);
+            std::vector<float> out_avx2(out_size + kSlack, 12345.0f);
+            scalar.conv2d(in.data(), shape, weights.data(), bias.data(),
+                          out_scalar.data());
+            avx2.conv2d(in.data(), shape, weights.data(), bias.data(),
+                        out_avx2.data());
+            ASSERT_EQ(std::memcmp(out_scalar.data(), out_avx2.data(),
+                                  out_scalar.size() * sizeof(float)),
+                      0)
+                << "oc=" << oc << " ic=" << ic << " k=" << k << " h=" << h
+                << " w=" << w;
+            for (size_t i = out_size; i < out_avx2.size(); ++i) {
+              ASSERT_EQ(out_avx2[i], 12345.0f) << "wrote past the output";
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Max pooling selects, it does not compute, so operand choice is visible:
+// NaNs with distinct payloads and both zero signs in every window make
+// std::max's "first operand unless the second is greater" rule observable
+// lane by lane, and the channel counts cover the 8-lane body and its tail.
+TEST_F(KernelsParityTest, MaxPoolNaNAndSignedZeroTies) {
+  const KernelTable& scalar = GetKernelTable(DispatchMode::kScalar);
+  const KernelTable& avx2 = GetKernelTable(DispatchMode::kAvx2);
+  const uint32_t nan_bits[] = {0x7fc00001u, 0xffc00002u};
+  float nans[2];
+  std::memcpy(&nans[0], &nan_bits[0], sizeof(float));
+  std::memcpy(&nans[1], &nan_bits[1], sizeof(float));
+  const float pool[] = {nans[0], nans[1], -0.0f, 0.0f, 1.0f, 1.0f, -1.0f,
+                        std::numeric_limits<float>::infinity(),
+                        -std::numeric_limits<float>::infinity()};
+  Rng rng(99);
+  for (const int64_t oh : {1, 2, 5}) {
+    for (const int64_t ow : {1, 3, 4}) {
+      for (const int64_t c : {1, 3, 8, 12, 17}) {
+        std::vector<float> in(static_cast<size_t>(4 * oh * ow * c));
+        for (float& v : in) {
+          v = pool[rng.NextUint64(sizeof(pool) / sizeof(pool[0]))];
+        }
+        const size_t out_size = static_cast<size_t>(oh * ow * c);
+        std::vector<float> out_scalar(out_size);
+        std::vector<float> out_avx2(out_size);
+        scalar.max_pool2x2(in.data(), oh, ow, c, out_scalar.data());
+        avx2.max_pool2x2(in.data(), oh, ow, c, out_avx2.data());
+        ASSERT_EQ(std::memcmp(out_scalar.data(), out_avx2.data(),
+                              out_size * sizeof(float)),
+                  0)
+            << "oh=" << oh << " ow=" << ow << " c=" << c;
+      }
+    }
+  }
+  // One window spelled out: std::max(std::max(a, b), std::max(d, e)).
+  const float window[4] = {-0.0f, 0.0f, nans[1], 0.0f};  // a b / d e
+  float out = 1.0f;
+  avx2.max_pool2x2(window, 1, 1, 1, &out);
+  uint32_t bits = 0;
+  std::memcpy(&bits, &out, sizeof(bits));
+  // max(-0, +0) keeps -0; max(NaN, +0) keeps NaN; max(-0, NaN) keeps -0.
+  EXPECT_EQ(bits, 0x80000000u);
 }
 
 }  // namespace
