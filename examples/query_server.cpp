@@ -91,7 +91,12 @@ int Run(int argc, char** argv) {
   // Two independent serving stacks: the second model's weights AND dataset
   // derive from a different seed, so misrouted queries would return
   // visibly different answers (exactly what the e2e client checks).
-  auto system_a = bench_util::DemoSystem::Make(demo_options);
+  // Model A builds its indexes only after its ingest queue has recovered
+  // (below), so a committed segment is checked against the replayed
+  // dataset, never against the bare base inputs.
+  bench_util::DemoSystemOptions demo_options_a = demo_options;
+  demo_options_a.preprocess = false;
+  auto system_a = bench_util::DemoSystem::Make(demo_options_a);
   if (!system_a.ok()) {
     std::fprintf(stderr, "demo system A: %s\n",
                  system_a.status().ToString().c_str());
@@ -127,7 +132,7 @@ int Run(int argc, char** argv) {
   }
 
   // Model A accepts ingest (B stays query-only, exercising the 404 path).
-  // Creation recovers: replays the ingest log into the dataset and installs
+  // Creation recovers: replays the ingest log into the dataset and loads
   // the last committed snapshot's indexes before the listener opens.
   ingest_options.trace_sink = [svc = service_a->get()](
                                   std::shared_ptr<Trace> trace) {
@@ -139,6 +144,12 @@ int Run(int argc, char** argv) {
   if (!ingest.ok()) {
     std::fprintf(stderr, "ingest queue: %s\n",
                  ingest.status().ToString().c_str());
+    return 1;
+  }
+  const Status preprocessed = (*system_a)->engine()->PreprocessAllLayers();
+  if (!preprocessed.ok()) {
+    std::fprintf(stderr, "demo system A: %s\n",
+                 preprocessed.ToString().c_str());
     return 1;
   }
   if (!registry.AttachIngest(bench_util::kDemoModelA, ingest->get()).ok()) {

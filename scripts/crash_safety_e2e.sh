@@ -7,7 +7,9 @@
 #   3. restart over the same store and assert every acknowledged input
 #      survived (dataset_size >= last acked size), the index tier settles
 #      with every watermark exactly at the dataset size (nothing skipped,
-#      nothing double-indexed), and the readiness line reports recovery;
+#      nothing double-indexed), the readiness line reports recovery, and
+#      the store holds no index/ subtree (the snapshot is the only index
+#      format on disk);
 #   4. prove exactly-once end to end: a THIRD server over a fresh store
 #      ingests the identical prefix the restarted server settled at, and
 #      both must return byte-identical query entries — a lost or
@@ -175,6 +177,9 @@ SETTLED="$(python3 -c 'import json;print(json.load(open("'"${WORK}"'/snap.json")
 [ "${SETTLED}" -ge "${LAST_ACKED}" ] ||
   fail "acked inputs lost: settled ${SETTLED} < acked ${LAST_ACKED}"
 wait_applied "${SETTLED}" || fail "restarted index tier never settled"
+# The snapshot is the only durable index format: no per-layer index files.
+[ ! -e "${WORK}/store/index" ] ||
+  fail "the store holds an index/ subtree beside the snapshot"
 RESTART_ANSWER="$(query_entries)" || fail "query after restart failed"
 echo "   settled dataset_size ${SETTLED}, answers served"
 

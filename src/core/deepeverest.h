@@ -45,10 +45,6 @@ struct DeepEverestOptions {
   /// Lock stripes for the IQA cache. 1 reproduces the paper's single cache;
   /// the concurrent query service uses more to avoid contention.
   int iqa_shards = 1;
-
-  /// Persist indexes to the FileStore (incremental indexing, §4.6).
-  bool persist_indexes = true;
-  bool force_sync = false;
 };
 
 class DeepEverest;
@@ -190,7 +186,7 @@ class DeepEverest {
   /// baseline all budgets are fractions of).
   uint64_t FullMaterializationBytes() const;
 
-  /// Bytes of index data currently persisted.
+  /// Bytes of the model's committed index snapshot (manifest + segments).
   Result<uint64_t> PersistedIndexBytes() const {
     return index_manager_.PersistedBytes();
   }

@@ -1,22 +1,19 @@
 #include "core/index_manager.h"
 
+#include <chrono>
 #include <numeric>
 #include <utility>
 
+#include "common/logging.h"
 #include "common/stopwatch.h"
-#include "persist/format.h"
 
 namespace deepeverest {
 namespace core {
 
-std::string IndexManager::KeyFor(const std::string& model_name, int layer) {
-  return "index/" + model_name + "/layer_" + std::to_string(layer) + ".npi";
-}
-
 bool IndexManager::IsIndexed(int layer) const {
   if (Peek(layer) != nullptr) return true;
-  return options_.persist &&
-         store_->Exists(KeyFor(inference_->model().name(), layer));
+  Result<persist::SnapshotManifest> manifest = ReadCommittedManifest();
+  return manifest.ok() && manifest->Find(layer) != nullptr;
 }
 
 LayerIndexPtr IndexManager::Peek(int layer) const {
@@ -40,21 +37,6 @@ LayerIndexPtr IndexManager::Publish(int layer, LayerIndex index) {
   return shared;
 }
 
-Status IndexManager::InstallIndex(int layer, LayerIndex index) {
-  if (layer < 0 || layer >= inference_->model().num_layers()) {
-    return Status::OutOfRange("layer " + std::to_string(layer) +
-                              " out of range");
-  }
-  const int64_t neurons = inference_->model().NeuronCount(layer);
-  if (index.num_neurons() != neurons) {
-    return Status::InvalidArgument(
-        "index neuron count " + std::to_string(index.num_neurons()) +
-        " does not match layer " + std::to_string(layer));
-  }
-  Publish(layer, std::move(index));
-  return Status::OK();
-}
-
 common::Mutex* IndexManager::BuildMutexFor(int layer) {
   common::MutexLock lock(&build_map_mu_);
   auto& slot = build_mu_[layer];
@@ -62,22 +44,76 @@ common::Mutex* IndexManager::BuildMutexFor(int layer) {
   return slot.get();
 }
 
-Status IndexManager::PersistIndex(int layer, const LayerIndex& index,
-                                  double* persist_seconds) {
-  Stopwatch watch;
-  if (options_.persist) {
-    BinaryWriter writer;
-    index.Serialize(&writer);
-    // Checksum envelope + write-temp/fsync/rename: a crash mid-persist
-    // leaves the previous file (or a stray .tmp), never a truncated index
-    // that a later session would deserialize.
-    DE_RETURN_NOT_OK(
-        store_->WriteAtomic(KeyFor(inference_->model().name(), layer),
-                            persist::WrapChecksum(writer.buffer()),
-                            options_.force_sync));
+Result<uint64_t> IndexManager::Commit(
+    const std::vector<std::pair<int, const LayerIndex*>>& indexes) {
+  const uint64_t now = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::seconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count());
+  common::MutexLock lock(&commit_mu_);
+  const data::Dataset& dataset = inference_->dataset();
+  return persist::WriteSnapshot(store_, model_name(), dataset.name(),
+                                dataset.size(), indexes, now);
+}
+
+Result<persist::SnapshotManifest> IndexManager::ReadCommittedManifest()
+    const {
+  DE_ASSIGN_OR_RETURN(persist::SnapshotManifest manifest,
+                      persist::ReadManifest(store_, model_name()));
+  if (manifest.dataset != inference_->dataset().name()) {
+    return Status::FailedPrecondition("snapshot is of dataset '" +
+                                      manifest.dataset + "', not '" +
+                                      inference_->dataset().name() + "'");
   }
-  if (persist_seconds != nullptr) *persist_seconds = watch.ElapsedSeconds();
-  return Status::OK();
+  return manifest;
+}
+
+Result<LayerIndex> IndexManager::LoadCommittedSegment(
+    const persist::SnapshotManifest& manifest, int layer) const {
+  const persist::SegmentInfo* segment = manifest.Find(layer);
+  if (segment == nullptr) {
+    return Status::NotFound("no committed segment for layer " +
+                            std::to_string(layer));
+  }
+  if (layer < 0 || layer >= inference_->model().num_layers()) {
+    return Status::IOError("segment layer " + std::to_string(layer) +
+                           " is not a layer of the model");
+  }
+  if (segment->watermark > inference_->dataset().size()) {
+    // The snapshot is ahead of the dataset (ingest log truncated or
+    // deleted): installing would index inputs that no longer exist.
+    return Status::FailedPrecondition(
+        "segment watermark " + std::to_string(segment->watermark) +
+        " is past the dataset (" +
+        std::to_string(inference_->dataset().size()) + " inputs)");
+  }
+  DE_ASSIGN_OR_RETURN(LayerIndex index,
+                      persist::LoadSegment(store_, *segment));
+  if (index.num_neurons() != inference_->model().NeuronCount(layer)) {
+    return Status::IOError("segment neuron count does not match layer " +
+                           std::to_string(layer));
+  }
+  return index;
+}
+
+Result<persist::SnapshotManifest> IndexManager::LoadCommitted(
+    uint32_t* installed) {
+  *installed = 0;
+  DE_ASSIGN_OR_RETURN(persist::SnapshotManifest manifest,
+                      ReadCommittedManifest());
+  for (const persist::SegmentInfo& segment : manifest.segments) {
+    common::MutexLock build_lock(BuildMutexFor(segment.layer));
+    if (IsLoaded(segment.layer)) continue;
+    Result<LayerIndex> index = LoadCommittedSegment(manifest, segment.layer);
+    if (!index.ok()) {
+      DE_LOG_WARNING << "not loading the committed segment of layer "
+                     << segment.layer << ": " << index.status().ToString();
+      continue;
+    }
+    Publish(segment.layer, std::move(*index));
+    ++*installed;
+  }
+  return manifest;
 }
 
 Result<storage::LayerActivationMatrix> IndexManager::ComputeRows(
@@ -99,6 +135,13 @@ Result<storage::LayerActivationMatrix> IndexManager::ComputeRows(
 Result<LayerIndexPtr> IndexManager::EnsureIndex(
     int layer, storage::LayerActivationMatrix* fresh_acts,
     PreprocessTimings* timings, nn::InferenceReceipt* receipt) {
+  return LoadOrBuild(layer, fresh_acts, timings, receipt, nullptr);
+}
+
+Result<LayerIndexPtr> IndexManager::LoadOrBuild(
+    int layer, storage::LayerActivationMatrix* fresh_acts,
+    PreprocessTimings* timings, nn::InferenceReceipt* receipt,
+    std::vector<std::pair<int, LayerIndexPtr>>* uncommitted) {
   if (layer < 0 || layer >= inference_->model().num_layers()) {
     return Status::OutOfRange("layer " + std::to_string(layer) +
                               " out of range");
@@ -112,30 +155,44 @@ Result<LayerIndexPtr> IndexManager::EnsureIndex(
   common::MutexLock build_lock(BuildMutexFor(layer));
   if (LayerIndexPtr index = Peek(layer)) return index;
 
-  // Try disk. Any validation failure (truncation, bit rot, foreign format)
-  // falls through to a rebuild instead of serving from a corrupt file.
-  const std::string key = KeyFor(inference_->model().name(), layer);
-  if (options_.persist && store_->Exists(key)) {
-    auto load = [&]() -> Result<LayerIndex> {
-      DE_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, store_->Read(key));
-      DE_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                          persist::UnwrapChecksum(bytes, "index '" + key + "'"));
-      BinaryReader reader(payload);
-      return LayerIndex::Deserialize(&reader);
-    };
-    Result<LayerIndex> loaded = load();
-    if (loaded.ok()) {
-      return Publish(layer, std::move(*loaded));
-    }
-    DE_LOG_WARNING << "discarding corrupt persisted index for layer " << layer
-                   << " and rebuilding: " << loaded.status().ToString();
-    if (on_index_invalidated_) on_index_invalidated_(layer);
+  // Try the committed segment. Any validation failure (truncation, bit rot,
+  // another dataset) falls through to a rebuild, whose commit replaces it.
+  Result<persist::SnapshotManifest> manifest = ReadCommittedManifest();
+  Result<LayerIndex> loaded = manifest.ok()
+                                  ? LoadCommittedSegment(*manifest, layer)
+                                  : Result<LayerIndex>(manifest.status());
+  if (loaded.ok()) {
+    return MergeTo(layer, Publish(layer, std::move(*loaded)),
+                   inference_->dataset().size(), receipt);
   }
-
-  return BuildIndex(layer, fresh_acts, timings, receipt);
+  if (loaded.status().code() != StatusCode::kNotFound) {
+    DE_LOG_WARNING << "rebuilding the index of layer " << layer
+                   << " instead of loading it: "
+                   << loaded.status().ToString();
+  }
+  DE_ASSIGN_OR_RETURN(LayerIndex index,
+                      BuildIndex(layer, fresh_acts, timings, receipt));
+  if (uncommitted != nullptr) {
+    LayerIndexPtr published = Publish(layer, std::move(index));
+    uncommitted->emplace_back(layer, published);
+    return published;
+  }
+  // One new snapshot generation holding this layer's segment, committed
+  // before the index is visible.
+  DE_RETURN_NOT_OK(CommitTimed({{layer, &index}}, timings));
+  return Publish(layer, std::move(index));
 }
 
-Result<LayerIndexPtr> IndexManager::BuildIndex(
+Status IndexManager::CommitTimed(
+    const std::vector<std::pair<int, const LayerIndex*>>& indexes,
+    PreprocessTimings* timings) {
+  Stopwatch watch;
+  DE_RETURN_NOT_OK(Commit(indexes).status());
+  if (timings != nullptr) timings->persist_seconds += watch.ElapsedSeconds();
+  return Status::OK();
+}
+
+Result<LayerIndex> IndexManager::BuildIndex(
     int layer, storage::LayerActivationMatrix* fresh_acts,
     PreprocessTimings* timings, nn::InferenceReceipt* receipt) {
   const uint32_t num_inputs = inference_->dataset().size();
@@ -154,18 +211,37 @@ Result<LayerIndexPtr> IndexManager::BuildIndex(
                       LayerIndex::Build(acts, options_.layer_config));
   const double index_seconds = watch.ElapsedSeconds();
 
-  // 3. Persist (checksummed, atomic).
-  double persist_seconds = 0.0;
-  DE_RETURN_NOT_OK(PersistIndex(layer, index, &persist_seconds));
-
   if (timings != nullptr) {
     timings->inference_seconds += inference_seconds;
     timings->index_seconds += index_seconds;
-    timings->persist_seconds += persist_seconds;
   }
   if (fresh_acts != nullptr) *fresh_acts = std::move(acts);
+  return index;
+}
 
-  return Publish(layer, std::move(index));
+Result<LayerIndexPtr> IndexManager::MergeTo(int layer, LayerIndexPtr current,
+                                            uint32_t target_size,
+                                            nn::InferenceReceipt* receipt) {
+  while (current->num_inputs() < target_size) {
+    const uint32_t base = current->num_inputs();
+    const uint32_t count = target_size - base;
+    DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix delta,
+                        ComputeRows(layer, base, count, receipt));
+    Result<LayerIndex> merged = current->AppendInputs(delta);
+    if (!merged.ok()) {
+      if (merged.status().code() != StatusCode::kFailedPrecondition) {
+        return merged.status();
+      }
+      // Degenerate index shape that cannot take appends: rebuild wholesale
+      // at the target size (rare; only all-MAI configs).
+      DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix all,
+                          ComputeRows(layer, 0, target_size, receipt));
+      merged = LayerIndex::Build(all, options_.layer_config);
+      DE_RETURN_NOT_OK(merged.status());
+    }
+    current = Publish(layer, std::move(*merged));
+  }
+  return current;
 }
 
 Status IndexManager::CatchUp(int layer, uint32_t target_size,
@@ -180,49 +256,32 @@ Status IndexManager::CatchUp(int layer, uint32_t target_size,
     return Status::FailedPrecondition("layer " + std::to_string(layer) +
                                       " has no loaded index to merge into");
   }
-  while (current->num_inputs() < target_size) {
-    const uint32_t base = current->num_inputs();
-    const uint32_t count = target_size - base;
-    DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix delta,
-                        ComputeRows(layer, base, count, receipt));
-    Result<LayerIndex> merged = current->AppendInputs(delta);
-    if (!merged.ok()) {
-      if (merged.status().code() != StatusCode::kFailedPrecondition) {
-        return merged.status();
-      }
-      // Degenerate index shape that cannot take appends: rebuild wholesale
-      // at the target size (rare; only single-partition MAI configs).
-      DE_ASSIGN_OR_RETURN(storage::LayerActivationMatrix all,
-                          ComputeRows(layer, 0, target_size, receipt));
-      merged = LayerIndex::Build(all, options_.layer_config);
-      DE_RETURN_NOT_OK(merged.status());
-    }
-    DE_RETURN_NOT_OK(PersistIndex(layer, *merged, nullptr));
-    current = Publish(layer, std::move(*merged));
-  }
-  return Status::OK();
+  return MergeTo(layer, std::move(current), target_size, receipt).status();
 }
 
 Status IndexManager::PreprocessAllLayers(PreprocessTimings* timings) {
+  // Every layer built here goes into one commit at the end: one manifest
+  // write for the whole pass instead of one per layer.
+  std::vector<std::pair<int, LayerIndexPtr>> built;
   for (int layer = 0; layer < inference_->model().num_layers(); ++layer) {
     if (IsLoaded(layer)) continue;
-    auto result = EnsureIndex(layer, nullptr, timings);
-    DE_RETURN_NOT_OK(result.status());
+    DE_RETURN_NOT_OK(
+        LoadOrBuild(layer, nullptr, timings, nullptr, &built).status());
   }
-  return Status::OK();
+  if (built.empty()) return Status::OK();
+  std::vector<std::pair<int, const LayerIndex*>> indexes;
+  for (const auto& [layer, index] : built) {
+    indexes.emplace_back(layer, index.get());
+  }
+  return CommitTimed(indexes, timings);
 }
 
 Result<uint64_t> IndexManager::PersistedBytes() const {
-  if (!options_.persist) return uint64_t{0};
-  uint64_t total = 0;
-  DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store_->ListKeys());
-  for (const std::string& key : keys) {
-    if (key.rfind("index/", 0) == 0) {
-      DE_ASSIGN_OR_RETURN(uint64_t size, store_->SizeOf(key));
-      total += size;
-    }
-  }
-  return total;
+  Result<persist::SnapshotManifest> manifest =
+      persist::ReadManifest(store_, model_name());
+  if (manifest.status().code() == StatusCode::kNotFound) return uint64_t{0};
+  DE_RETURN_NOT_OK(manifest.status());
+  return manifest->total_bytes;
 }
 
 }  // namespace core

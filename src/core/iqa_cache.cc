@@ -129,21 +129,6 @@ void IqaCache::Clear() {
   }
 }
 
-void IqaCache::EraseLayer(int layer) {
-  for (auto& shard : shards_) {
-    common::MutexLock lock(&shard->mu);
-    for (auto it = shard->entries.begin(); it != shard->entries.end();) {
-      if (static_cast<int>(it->first >> 32) == layer) {
-        shard->by_recency.erase(it->second.last_use);
-        shard->size_bytes -= BytesOf(it->second.row);
-        it = shard->entries.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
-}
-
 uint64_t IqaCache::size_bytes() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) {

@@ -83,12 +83,6 @@ class IqaCache {
   /// Drops every entry (e.g. when the dataset or model changes).
   void Clear();
 
-  /// Drops every entry of one layer — the invalidation hook for the
-  /// rebuild-on-corrupt-index path. (The ingest path never needs it: the
-  /// dataset is append-only and rows are keyed by (layer, input), so
-  /// existing entries stay valid as the dataset grows.)
-  void EraseLayer(int layer);
-
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
   EvictionPolicy eviction_policy() const { return policy_; }

@@ -64,6 +64,12 @@ Result<LayerIndex> LayerIndex::Build(
   if (config.mai_ratio < 0.0 || config.mai_ratio > 1.0) {
     return Status::InvalidArgument("mai_ratio must be in [0, 1]");
   }
+  if (config.num_partitions == 1 && config.mai_ratio > 0.0 &&
+      config.mai_ratio < 1.0) {
+    // The MAI is partition 0, so the inputs outside it need a second one.
+    return Status::InvalidArgument(
+        "a partial MAI (0 < mai_ratio < 1) needs num_partitions >= 2");
+  }
   if (config.scheme == PartitionScheme::kEquiWidth &&
       config.mai_ratio > 0.0) {
     return Status::InvalidArgument(
@@ -107,6 +113,8 @@ Result<LayerIndex> LayerIndex::Build(
       first = 1;
       equi_parts = num_partitions - 1;
     }
+    // equi_parts is 0 only for an all-MAI build (rest == 0): the config
+    // check above rejects a single partition beside a partial MAI.
     if (equi_parts > 0) {
       const uint32_t base = rest / static_cast<uint32_t>(equi_parts);
       const uint32_t extra = rest % static_cast<uint32_t>(equi_parts);
@@ -114,8 +122,6 @@ Result<LayerIndex> LayerIndex::Build(
         sizes[first + static_cast<size_t>(p)] =
             base + (static_cast<uint32_t>(p) < extra ? 1 : 0);
       }
-    } else if (index.mai_count_ > 0 && rest > 0) {
-      return Status::Internal("partition sizing overflow");
     }
   }
 

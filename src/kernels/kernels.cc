@@ -86,7 +86,6 @@ constexpr KernelTable kScalarTable = {
     {ValueAggL1Scalar, ValueAggL2Scalar, ValueAggLInfScalar,
      ValueAggWL2Scalar},
     internal::UnpackScalar,
-    internal::DequantRowScalar,
     internal::Conv2DScalar,
     internal::MaxPool2x2Scalar,
     "scalar",

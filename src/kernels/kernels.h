@@ -10,11 +10,11 @@ namespace kernels {
 /// \brief The hot-loop kernel layer.
 ///
 /// Everything on a per-candidate path — batched distance aggregation over
-/// row blocks, bulk bit-unpacking of NPI partition ids, 8-bit dequantisation
-/// — and the forward pass's convolution and max pooling run through one
-/// KernelTable of plain function pointers. Two tables
-/// exist: a portable scalar one and an AVX2 one (compiled in its own
-/// translation unit with -mavx2 -ffp-contract=off). Which table serves the
+/// row blocks and bulk bit-unpacking of NPI partition ids — and the forward
+/// pass's convolution and max pooling run through one KernelTable of plain
+/// function pointers. Two tables exist: a portable scalar one and an AVX2
+/// one (compiled in its own translation unit with -mavx2
+/// -ffp-contract=off). Which table serves the
 /// process is decided exactly once, on first use, from cpuid plus the
 /// DEEPEVEREST_KERNELS environment override; after that the per-block call
 /// is one indirect jump, hoisted out of the per-candidate loop entirely.
@@ -79,10 +79,6 @@ struct KernelTable {
   /// `num_words` is asserted against the last touched word.
   using UnpackFn = void (*)(const uint64_t* words, size_t num_words, int bits,
                             size_t begin, size_t count, uint64_t* out);
-  /// out[i] = min_value[i] + scale[i] * codes[i]: one quantised row decoded
-  /// against the per-neuron ranges (QuantizedActivationMatrix layout).
-  using DequantRowFn = void (*)(const uint8_t* codes, const float* min_value,
-                                const float* scale, size_t n, float* out);
   /// out[h][w][c] = bias[c], then `+= in[ih][iw][i] * weights[kh][kw][i][c]`
   /// for every tap (kh, kw, i) in that order, with ih = h + kh - kernel / 2
   /// and iw likewise. Taps that fall outside the image are skipped, never
@@ -102,7 +98,6 @@ struct KernelTable {
   AbsDiffAggFn abs_diff_agg[kNumAggKinds];
   ValueAggFn value_agg[kNumAggKinds];
   UnpackFn unpack;
-  DequantRowFn dequant_row;
   Conv2DFn conv2d;
   MaxPool2x2Fn max_pool2x2;
   const char* name;

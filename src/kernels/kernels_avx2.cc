@@ -361,29 +361,6 @@ void UnpackAvx2(const uint64_t* words, size_t num_words, int bits,
 }
 
 // ---------------------------------------------------------------------------
-// Quantised row decode: zero-extend 8 codes, convert, multiply by the
-// per-neuron scale, add the per-neuron min. vmulps/vaddps are the same IEEE
-// single-precision ops the scalar body uses, so decode is bit-identical.
-// ---------------------------------------------------------------------------
-
-void DequantRowAvx2(const uint8_t* codes, const float* min_value,
-                    const float* scale, size_t n, float* out) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i bytes =
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(codes + i));
-    const __m256 f = _mm256_cvtepi32_ps(_mm256_cvtepu8_epi32(bytes));
-    const __m256 scaled = _mm256_mul_ps(_mm256_loadu_ps(scale + i), f);
-    _mm256_storeu_ps(out + i,
-                     _mm256_add_ps(_mm256_loadu_ps(min_value + i), scaled));
-  }
-  if (i < n) {
-    internal::DequantRowScalar(codes + i, min_value + i, scale + i, n - i,
-                               out + i);
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Conv2D. Output channels live in 8-lane accumulators, in groups of up to
 // four blocks (32 channels); the group's last block is masked when its
 // channel count is not a multiple of 8. P adjacent output pixels of one row
@@ -561,7 +538,6 @@ constexpr KernelTable kAvx2Table = {
      AbsDiffAggWL2Avx2},
     {ValueAggL1Avx2, ValueAggL2Avx2, ValueAggLInfAvx2, ValueAggWL2Avx2},
     UnpackAvx2,
-    DequantRowAvx2,
     Conv2DAvx2,
     MaxPool2x2Avx2,
     "avx2",

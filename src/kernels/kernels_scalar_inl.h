@@ -127,13 +127,6 @@ inline void UnpackScalar(const uint64_t* words, size_t num_words, int bits,
   }
 }
 
-inline void DequantRowScalar(const uint8_t* codes, const float* min_value,
-                             const float* scale, size_t n, float* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = min_value[i] + scale[i] * static_cast<float>(codes[i]);
-  }
-}
-
 /// The reference convolution (KernelTable::Conv2DFn): one output pixel at a
 /// time, all output channels per tap.
 inline void Conv2DScalar(const float* in, const ConvShape& shape,

@@ -32,18 +32,22 @@ uint32_t Crc32(const uint8_t* data, size_t size, uint32_t seed) {
   return crc ^ 0xFFFFFFFFu;
 }
 
-std::vector<uint8_t> WrapChecksum(const std::vector<uint8_t>& payload) {
+std::vector<uint8_t> WrapChecksum(const std::vector<uint8_t>& payload,
+                                  uint32_t* crc) {
+  const uint32_t checksum = Crc32(payload);
+  if (crc != nullptr) *crc = checksum;
   BinaryWriter writer;
   writer.WriteU32(kEnvelopeMagic);
   writer.WriteU64(payload.size());
-  writer.WriteU32(Crc32(payload));
+  writer.WriteU32(checksum);
   std::vector<uint8_t> out = writer.TakeBuffer();
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
 
 Result<std::vector<uint8_t>> UnwrapChecksum(const std::vector<uint8_t>& blob,
-                                            const std::string& what) {
+                                            const std::string& what,
+                                            uint32_t* crc_out) {
   BinaryReader reader(blob);
   uint32_t magic = 0;
   uint64_t payload_size = 0;
@@ -68,6 +72,7 @@ Result<std::vector<uint8_t>> UnwrapChecksum(const std::vector<uint8_t>& blob,
                            std::to_string(crc) + ", computed " +
                            std::to_string(actual) + ")");
   }
+  if (crc_out != nullptr) *crc_out = crc;
   return payload;
 }
 

@@ -23,17 +23,21 @@ inline uint32_t Crc32(const std::vector<uint8_t>& data, uint32_t seed = 0) {
 /// \brief Checksum envelope for persisted blobs.
 ///
 /// Layout: u32 magic | u64 payload_size | u32 crc32(payload) | payload.
-/// Every blob the persistence tier writes (legacy index files, snapshot
-/// segments, the snapshot manifest) is wrapped so a load can distinguish
-/// "valid", "truncated", and "corrupt" instead of deserializing garbage.
+/// Every blob the snapshot writes (segments and the manifest) is wrapped so
+/// a load can distinguish "valid", "truncated", and "corrupt" instead of
+/// deserializing garbage.
 constexpr uint32_t kEnvelopeMagic = 0xDE5EA1EDu;
 
-std::vector<uint8_t> WrapChecksum(const std::vector<uint8_t>& payload);
+/// `*crc`, if non-null, receives the payload's checksum.
+std::vector<uint8_t> WrapChecksum(const std::vector<uint8_t>& payload,
+                                  uint32_t* crc = nullptr);
 
 /// Validates the envelope and returns the payload, or IOError with a
 /// human-readable reason (`what` names the artifact in the message).
+/// `*crc`, if non-null, receives the validated payload checksum.
 Result<std::vector<uint8_t>> UnwrapChecksum(const std::vector<uint8_t>& blob,
-                                            const std::string& what);
+                                            const std::string& what,
+                                            uint32_t* crc = nullptr);
 
 }  // namespace persist
 }  // namespace deepeverest

@@ -1,5 +1,6 @@
 #include "persist/ingest.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -24,7 +25,6 @@ IngestQueue::IngestQueue(core::DeepEverest* engine, data::Dataset* dataset,
                          storage::FileStore* store, IngestQueueOptions options)
     : engine_(engine),
       dataset_(dataset),
-      store_(store),
       options_(std::move(options)),
       model_(engine->inference()->model().name()),
       log_(store, model_, options_.sync_log) {}
@@ -65,48 +65,32 @@ Status IngestQueue::Recover() {
     ++recovered_inputs_;
   }
 
-  // 2. Restore indexes from the last committed snapshot. Anything wrong —
-  // missing, corrupt, or from another dataset — means a cold start, never a
-  // partially trusted snapshot.
-  uint32_t min_watermark = dataset_->size();
-  Result<LoadedSnapshot> snapshot = LoadSnapshot(store_, model_);
-  if (snapshot.ok()) {
-    if (snapshot->manifest.dataset != dataset_->name()) {
-      DE_LOG_WARNING << "ignoring snapshot for model '" << model_
-                     << "': dataset '" << snapshot->manifest.dataset
-                     << "' != '" << dataset_->name() << "'";
-    } else {
-      for (auto& [layer, index] : snapshot->indexes) {
-        if (index.num_inputs() > dataset_->size()) {
-          // The snapshot is ahead of the replayed log (log truncated or
-          // deleted). Installing would index inputs that no longer exist.
-          DE_LOG_WARNING << "ignoring snapshot segment for layer " << layer
-                         << ": watermark " << index.num_inputs()
-                         << " is past the dataset (" << dataset_->size()
-                         << " inputs)";
-          continue;
-        }
-        min_watermark = std::min(min_watermark, index.num_inputs());
-        DE_RETURN_NOT_OK(
-            engine_->index_manager()->InstallIndex(layer, std::move(index)));
-        ++recovered_layers_;
-      }
-      common::MutexLock lock(&mu_);
-      snapshot_bytes_ = static_cast<int64_t>(snapshot->total_bytes);
-      snapshot_created_unix_ = snapshot->manifest.created_unix_seconds;
-      snapshot_dataset_size_ = snapshot->manifest.dataset_size;
-    }
-    DE_RETURN_NOT_OK(CollectGarbage(store_, model_));
-  } else if (snapshot.status().code() != StatusCode::kNotFound) {
+  // 2. Only then load the committed segments, so a segment past the
+  // replayed dataset is recognised and skipped. A missing, corrupt, or
+  // skipped segment means that layer rebuilds on its first query; a
+  // manifest of another dataset means a cold start.
+  core::IndexManager* indexes = engine_->index_manager();
+  Result<SnapshotManifest> committed =
+      indexes->LoadCommitted(&recovered_layers_);
+  if (committed.ok()) {
+    common::MutexLock lock(&mu_);
+    snapshot_bytes_ = static_cast<int64_t>(committed->total_bytes);
+    snapshot_created_unix_ = committed->created_unix_seconds;
+    snapshot_dataset_size_ = committed->dataset_size;
+  } else if (committed.status().code() != StatusCode::kNotFound) {
     DE_LOG_WARNING << "snapshot for model '" << model_
-                   << "' failed to load; cold start: "
-                   << snapshot.status().ToString();
+                   << "' not loaded; cold start: "
+                   << committed.status().ToString();
   }
 
-  // Anything between the lowest installed watermark and the dataset size is
+  // Anything between the lowest loaded watermark and the dataset size is
   // merged by the applier's first pass.
+  uint32_t min_watermark = dataset_->size();
+  for (int layer : indexes->LoadedLayers()) {
+    min_watermark = std::min(min_watermark, indexes->Peek(layer)->num_inputs());
+  }
   common::MutexLock lock(&mu_);
-  applied_size_ = recovered_layers_ > 0 ? min_watermark : dataset_->size();
+  applied_size_ = min_watermark;
   return Status::OK();
 }
 
@@ -242,10 +226,9 @@ Status IngestQueue::SnapshotNow() {
     pins.push_back(index);
     indexes.emplace_back(layer, pins.back().get());
   }
+  DE_ASSIGN_OR_RETURN(uint64_t bytes,
+                      engine_->index_manager()->Commit(indexes));
   const uint64_t now = NowUnixSeconds();
-  DE_ASSIGN_OR_RETURN(
-      uint64_t bytes,
-      WriteSnapshot(store_, model_, dataset_->name(), target, indexes, now));
 
   common::MutexLock state_lock(&mu_);
   // The snapshot catch-up may have raced ahead of the applier's bookkeeping.

@@ -36,14 +36,16 @@ struct IngestQueueOptions {
 };
 
 /// \brief The durable ingest pipeline for one model: accepts inputs while
-/// queries run, applies them to every built LayerIndex incrementally, and
-/// owns snapshot recovery + commit.
+/// queries run, applies them to every built LayerIndex incrementally,
+/// replays its log at startup, and sets the snapshot cadence. The snapshot
+/// itself is loaded and committed through the engine's IndexManager, the
+/// one writer of the manifest.
 ///
 /// Exactly-once index maintenance (pg_incremental style): an input becomes
 /// visible only after its log record is durable; each layer's high-watermark
 /// is its index's own num_inputs(), persisted atomically *with* the merged
 /// index by the snapshot manifest rename. Recovery replays the log (dropping
-/// the never-acknowledged torn tail), installs the snapshot's indexes, and
+/// the never-acknowledged torn tail), then loads the snapshot's indexes, and
 /// re-merges exactly the inputs past each watermark — deterministic
 /// inference makes the re-merge idempotent, so no input is ever indexed
 /// twice or skipped. Queries pin the index version they start with, so every
@@ -75,7 +77,7 @@ class IngestQueue : public service::IngestSink {
 
   /// Inputs replayed from the ingest log at startup.
   uint32_t recovered_inputs() const { return recovered_inputs_; }
-  /// Layer indexes installed from the snapshot at startup.
+  /// Layer indexes loaded from the snapshot at startup.
   uint32_t recovered_layers() const { return recovered_layers_; }
 
  private:
@@ -91,7 +93,6 @@ class IngestQueue : public service::IngestSink {
 
   core::DeepEverest* engine_;
   data::Dataset* dataset_;
-  storage::FileStore* store_;
   IngestQueueOptions options_;
   std::string model_;
   IngestLog log_;

@@ -12,7 +12,9 @@ namespace persist {
 namespace {
 
 constexpr uint32_t kManifestMagic = 0xDEE7A901;
-constexpr uint32_t kManifestVersion = 1;
+/// Version 2: a segment's crc is its payload checksum, the one its
+/// envelope carries (version 1 checksummed the whole file a second time).
+constexpr uint32_t kManifestVersion = 2;
 
 std::string PrefixFor(const std::string& model) {
   return "snapshot/" + model + "/";
@@ -43,6 +45,130 @@ Status Hit(const Failpoint& failpoint, const std::string& point) {
     return Status::Cancelled("failpoint: " + point);
   }
   return Status::OK();
+}
+
+}  // namespace
+
+std::string ManifestKeyFor(const std::string& model) {
+  return PrefixFor(model) + "MANIFEST";
+}
+
+const SegmentInfo* SnapshotManifest::Find(int layer) const {
+  for (const SegmentInfo& seg : segments) {
+    if (seg.layer == layer) return &seg;
+  }
+  return nullptr;
+}
+
+Result<uint64_t> WriteSnapshot(
+    storage::FileStore* store, const std::string& model,
+    const std::string& dataset_name, uint32_t dataset_size,
+    const std::vector<std::pair<int, const core::LayerIndex*>>& indexes,
+    uint64_t created_unix_seconds, const Failpoint& failpoint) {
+  SnapshotManifest manifest;
+  manifest.model = model;
+  manifest.dataset = dataset_name;
+  manifest.dataset_size = dataset_size;
+  manifest.created_unix_seconds = created_unix_seconds;
+
+  // Carry the current manifest's other layers over by key. An unreadable
+  // manifest carries nothing: its snapshot could not be loaded anyway. A
+  // segment past `dataset_size` is kept: a reader that replays more of the
+  // ingest log may still use it, and loaders skip it otherwise.
+  std::set<int> written;
+  for (const auto& entry : indexes) written.insert(entry.first);
+  Result<SnapshotManifest> current = ReadManifest(store, model);
+  if (current.ok()) {
+    manifest.generation = current->generation;
+    if (current->dataset == dataset_name) {
+      for (const SegmentInfo& seg : current->segments) {
+        if (written.count(seg.layer) == 0) {
+          manifest.segments.push_back(seg);
+        }
+      }
+    }
+  }
+
+  // Pick a generation strictly above anything on disk — committed or
+  // orphaned — so new segment files never overwrite live ones.
+  std::vector<std::string> old_keys;
+  {
+    DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store->ListKeys());
+    for (std::string& key : keys) {
+      if (key.rfind(PrefixFor(model), 0) != 0) continue;
+      manifest.generation = std::max(manifest.generation, GenerationOf(key));
+      old_keys.push_back(std::move(key));
+    }
+  }
+  ++manifest.generation;
+
+  // 1. Segments first, each write-temp/fsync/rename under a fresh name. The
+  // current manifest never references them, so a crash here is invisible.
+  for (const auto& [layer, index] : indexes) {
+    BinaryWriter writer;
+    index->Serialize(&writer);
+    SegmentInfo seg;
+    const std::vector<uint8_t> enveloped =
+        WrapChecksum(writer.buffer(), &seg.crc);
+    const std::string key = SegmentKeyFor(model, layer, manifest.generation);
+    DE_RETURN_NOT_OK(store->Write(key + ".tmp", enveloped, /*sync=*/true));
+    DE_RETURN_NOT_OK(
+        Hit(failpoint, "seg:" + std::to_string(layer) + ":tmp_written"));
+    DE_RETURN_NOT_OK(store->Rename(key + ".tmp", key));
+    DE_RETURN_NOT_OK(
+        Hit(failpoint, "seg:" + std::to_string(layer) + ":renamed"));
+
+    seg.layer = layer;
+    seg.key = key;
+    seg.bytes = enveloped.size();
+    seg.watermark = index->num_inputs();
+    manifest.segments.push_back(std::move(seg));
+  }
+  std::sort(manifest.segments.begin(), manifest.segments.end(),
+            [](const SegmentInfo& a, const SegmentInfo& b) {
+              return a.layer < b.layer;
+            });
+
+  // 2. Manifest rename = the commit point: the new generation's segments and
+  // every per-layer watermark become visible in one atomic step.
+  BinaryWriter writer;
+  writer.WriteU32(kManifestMagic);
+  writer.WriteU32(kManifestVersion);
+  writer.WriteU32(manifest.generation);
+  writer.WriteString(manifest.model);
+  writer.WriteString(manifest.dataset);
+  writer.WriteU32(manifest.dataset_size);
+  writer.WriteU64(manifest.created_unix_seconds);
+  writer.WriteU32(static_cast<uint32_t>(manifest.segments.size()));
+  for (const SegmentInfo& seg : manifest.segments) {
+    writer.WriteI32(seg.layer);
+    writer.WriteU8(static_cast<uint8_t>(seg.kind));
+    writer.WriteString(seg.key);
+    writer.WriteU64(seg.bytes);
+    writer.WriteU32(seg.crc);
+    writer.WriteU32(seg.watermark);
+  }
+  const std::vector<uint8_t> enveloped = WrapChecksum(writer.buffer());
+  const std::string manifest_key = ManifestKeyFor(model);
+  DE_RETURN_NOT_OK(store->Write(manifest_key + ".tmp", enveloped,
+                                /*sync=*/true));
+  DE_RETURN_NOT_OK(Hit(failpoint, "manifest:tmp_written"));
+  DE_RETURN_NOT_OK(store->Rename(manifest_key + ".tmp", manifest_key));
+  DE_RETURN_NOT_OK(Hit(failpoint, "manifest:renamed"));
+
+  // 3. Reclaim every file that was there before this commit and that the
+  // new manifest does not reference: replaced segments and crash leftovers.
+  // A crash in here only leaves orphans for the next commit's pass.
+  std::set<std::string> referenced = {manifest_key};
+  for (const SegmentInfo& seg : manifest.segments) referenced.insert(seg.key);
+  for (const std::string& key : old_keys) {
+    if (referenced.count(key) == 0) DE_RETURN_NOT_OK(store->Remove(key));
+  }
+  DE_RETURN_NOT_OK(Hit(failpoint, "gc:done"));
+
+  uint64_t total_bytes = enveloped.size();
+  for (const SegmentInfo& seg : manifest.segments) total_bytes += seg.bytes;
+  return total_bytes;
 }
 
 Result<SnapshotManifest> ReadManifest(storage::FileStore* store,
@@ -90,161 +216,40 @@ Result<SnapshotManifest> ReadManifest(storage::FileStore* store,
     DE_RETURN_NOT_OK(reader.ReadU32(&seg.crc));
     DE_RETURN_NOT_OK(reader.ReadU32(&seg.watermark));
     seg.layer = layer;
-    if (kind > static_cast<uint8_t>(SegmentKind::kQuantizedActs)) {
+    if (kind != static_cast<uint8_t>(SegmentKind::kIndex)) {
       return Status::IOError("unknown snapshot segment kind " +
                              std::to_string(kind));
     }
-    seg.kind = static_cast<SegmentKind>(kind);
+    manifest.total_bytes += seg.bytes;
     manifest.segments.push_back(std::move(seg));
   }
+  manifest.total_bytes += blob.size();
   return manifest;
 }
 
-}  // namespace
 
-std::string ManifestKeyFor(const std::string& model) {
-  return PrefixFor(model) + "MANIFEST";
-}
-
-Result<uint64_t> WriteSnapshot(
-    storage::FileStore* store, const std::string& model,
-    const std::string& dataset_name, uint32_t dataset_size,
-    const std::vector<std::pair<int, const core::LayerIndex*>>& indexes,
-    uint64_t created_unix_seconds, const Failpoint& failpoint) {
-  // Pick a generation strictly above anything on disk — committed or
-  // orphaned — so new segment files never overwrite live ones.
-  uint32_t generation = 0;
-  {
-    Result<SnapshotManifest> current = ReadManifest(store, model);
-    if (current.ok()) generation = current->generation;
-    DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store->ListKeys());
-    for (const std::string& key : keys) {
-      if (key.rfind(PrefixFor(model), 0) == 0) {
-        generation = std::max(generation, GenerationOf(key));
-      }
-    }
-    ++generation;
+Result<core::LayerIndex> LoadSegment(storage::FileStore* store,
+                                     const SegmentInfo& segment) {
+  DE_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, store->Read(segment.key));
+  const std::string what = "snapshot segment '" + segment.key + "'";
+  if (blob.size() != segment.bytes) {
+    return Status::IOError(what + " has " + std::to_string(blob.size()) +
+                           " bytes, its manifest entry " +
+                           std::to_string(segment.bytes) + " (truncated?)");
   }
-
-  SnapshotManifest manifest;
-  manifest.generation = generation;
-  manifest.model = model;
-  manifest.dataset = dataset_name;
-  manifest.dataset_size = dataset_size;
-  manifest.created_unix_seconds = created_unix_seconds;
-
-  // 1. Segments first, each write-temp/fsync/rename under a fresh name. The
-  // current manifest never references them, so a crash here is invisible.
-  for (const auto& [layer, index] : indexes) {
-    BinaryWriter writer;
-    index->Serialize(&writer);
-    const std::vector<uint8_t> enveloped = WrapChecksum(writer.buffer());
-    const std::string key = SegmentKeyFor(model, layer, generation);
-    DE_RETURN_NOT_OK(store->Write(key + ".tmp", enveloped, /*sync=*/true));
-    DE_RETURN_NOT_OK(
-        Hit(failpoint, "seg:" + std::to_string(layer) + ":tmp_written"));
-    DE_RETURN_NOT_OK(store->Rename(key + ".tmp", key));
-    DE_RETURN_NOT_OK(
-        Hit(failpoint, "seg:" + std::to_string(layer) + ":renamed"));
-
-    SegmentInfo seg;
-    seg.layer = layer;
-    seg.kind = SegmentKind::kIndex;
-    seg.key = key;
-    seg.bytes = enveloped.size();
-    seg.crc = Crc32(enveloped);
-    seg.watermark = index->num_inputs();
-    manifest.segments.push_back(std::move(seg));
+  uint32_t crc = 0;
+  DE_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                      UnwrapChecksum(blob, what, &crc));
+  if (crc != segment.crc) {
+    return Status::IOError(what + " is not the file its manifest entry names");
   }
-
-  // 2. Manifest rename = the commit point: the new generation's segments and
-  // every per-layer watermark become visible in one atomic step.
-  BinaryWriter writer;
-  writer.WriteU32(kManifestMagic);
-  writer.WriteU32(kManifestVersion);
-  writer.WriteU32(manifest.generation);
-  writer.WriteString(manifest.model);
-  writer.WriteString(manifest.dataset);
-  writer.WriteU32(manifest.dataset_size);
-  writer.WriteU64(manifest.created_unix_seconds);
-  writer.WriteU32(static_cast<uint32_t>(manifest.segments.size()));
-  for (const SegmentInfo& seg : manifest.segments) {
-    writer.WriteI32(seg.layer);
-    writer.WriteU8(static_cast<uint8_t>(seg.kind));
-    writer.WriteString(seg.key);
-    writer.WriteU64(seg.bytes);
-    writer.WriteU32(seg.crc);
-    writer.WriteU32(seg.watermark);
+  BinaryReader reader(payload);
+  DE_ASSIGN_OR_RETURN(core::LayerIndex index,
+                      core::LayerIndex::Deserialize(&reader));
+  if (index.num_inputs() != segment.watermark) {
+    return Status::IOError(what + ": watermark mismatch");
   }
-  const std::string manifest_key = ManifestKeyFor(model);
-  DE_RETURN_NOT_OK(store->Write(manifest_key + ".tmp",
-                                WrapChecksum(writer.buffer()), /*sync=*/true));
-  DE_RETURN_NOT_OK(Hit(failpoint, "manifest:tmp_written"));
-  DE_RETURN_NOT_OK(store->Rename(manifest_key + ".tmp", manifest_key));
-  DE_RETURN_NOT_OK(Hit(failpoint, "manifest:renamed"));
-
-  // 3. Previous generations are now unreferenced; reclaim them. A crash in
-  // here only leaves orphans for the next GC pass.
-  DE_RETURN_NOT_OK(CollectGarbage(store, model));
-  DE_RETURN_NOT_OK(Hit(failpoint, "gc:done"));
-
-  uint64_t total_bytes = 0;
-  DE_ASSIGN_OR_RETURN(total_bytes, store->SizeOf(manifest_key));
-  for (const SegmentInfo& seg : manifest.segments) total_bytes += seg.bytes;
-  return total_bytes;
-}
-
-Result<LoadedSnapshot> LoadSnapshot(storage::FileStore* store,
-                                    const std::string& model) {
-  LoadedSnapshot snapshot;
-  DE_ASSIGN_OR_RETURN(snapshot.manifest, ReadManifest(store, model));
-  DE_ASSIGN_OR_RETURN(uint64_t manifest_bytes,
-                      store->SizeOf(ManifestKeyFor(model)));
-  snapshot.total_bytes = manifest_bytes;
-  for (const SegmentInfo& seg : snapshot.manifest.segments) {
-    DE_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, store->Read(seg.key));
-    if (blob.size() != seg.bytes || Crc32(blob) != seg.crc) {
-      return Status::IOError("snapshot segment '" + seg.key +
-                             "' does not match its manifest entry "
-                             "(truncated or corrupt)");
-    }
-    if (seg.kind != SegmentKind::kIndex) {
-      // Forward-compatible kinds are ignored, not fatal.
-      snapshot.total_bytes += blob.size();
-      continue;
-    }
-    DE_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> payload,
-        UnwrapChecksum(blob, "snapshot segment '" + seg.key + "'"));
-    BinaryReader reader(payload);
-    DE_ASSIGN_OR_RETURN(core::LayerIndex index,
-                        core::LayerIndex::Deserialize(&reader));
-    if (index.num_inputs() != seg.watermark) {
-      return Status::IOError("snapshot segment '" + seg.key +
-                             "' watermark mismatch");
-    }
-    snapshot.total_bytes += blob.size();
-    snapshot.indexes.emplace_back(seg.layer, std::move(index));
-  }
-  return snapshot;
-}
-
-Status CollectGarbage(storage::FileStore* store, const std::string& model) {
-  std::set<std::string> referenced;
-  referenced.insert(ManifestKeyFor(model));
-  Result<SnapshotManifest> manifest = ReadManifest(store, model);
-  if (manifest.ok()) {
-    for (const SegmentInfo& seg : manifest->segments) {
-      referenced.insert(seg.key);
-    }
-  }
-  DE_ASSIGN_OR_RETURN(std::vector<std::string> keys, store->ListKeys());
-  for (const std::string& key : keys) {
-    if (key.rfind(PrefixFor(model), 0) != 0) continue;
-    if (referenced.count(key) != 0) continue;
-    DE_RETURN_NOT_OK(store->Remove(key));
-  }
-  return Status::OK();
+  return index;
 }
 
 }  // namespace persist

@@ -219,10 +219,8 @@ class QosDispatchPolicy : public DispatchPolicy {
   size_t size_ = 0;
 };
 
-/// The dispatch policy QueryServiceOptions selects (see
-/// QueryServiceOptions::dispatch_policy).
+/// The dispatch policy QueryServiceOptions::enable_qos selects.
 std::unique_ptr<DispatchPolicy> MakePolicy(const QueryServiceOptions& options) {
-  if (options.dispatch_policy) return options.dispatch_policy();
   if (options.enable_qos) return std::make_unique<QosDispatchPolicy>();
   return std::make_unique<SessionRoundRobinPolicy>();
 }
@@ -258,10 +256,9 @@ QueryService::QueryService(core::DeepEverest* engine,
       trace_ring_(options.trace_ring_capacity),
       policy_(MakePolicy(options)) {
   // Park-and-switch relies on strict class priority (the pop after a park
-  // must yield the waiting interactive query); a custom policy makes no
-  // such promise, so preemption is gated on the built-in QoS policy.
-  preemption_enabled_ = options_.enable_preemption && options_.enable_qos &&
-                        !options_.dispatch_policy;
+  // must yield the waiting interactive query); the flat round-robin policy
+  // makes no such promise, so preemption is gated on the QoS policy.
+  preemption_enabled_ = options_.enable_preemption && options_.enable_qos;
   // With a single worker at most one query is ever in flight, so batches
   // could never be shared — skip the scheduler rather than pay its linger
   // window on every partial round.

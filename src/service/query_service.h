@@ -5,7 +5,6 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -91,22 +90,11 @@ struct QueryServiceOptions {
   /// interactive query, and the parked query resumes later on any worker.
   /// Interactive tail latency becomes independent of bulk round length;
   /// results are unaffected (executions are checkpointed between rounds and
-  /// bit-identical to an uninterrupted run). Effective only with the
-  /// built-in QoS dispatch policy (`enable_qos` on, no custom
-  /// `dispatch_policy`) — a custom policy defines its own ordering, and the
-  /// park-and-switch handoff relies on strict class priority to guarantee
-  /// the freed worker picks up the interactive query.
+  /// bit-identical to an uninterrupted run). Effective only with
+  /// `enable_qos` on: the park-and-switch handoff relies on the QoS
+  /// policy's strict class priority to guarantee the freed worker picks up
+  /// the interactive query.
   bool enable_preemption = true;
-
-  /// Pluggable dispatch ordering: when set, replaces the built-in policy
-  /// that `enable_qos` would otherwise select. Only the admission-queue
-  /// ordering is overridden — `enable_qos` still governs the batch
-  /// scheduler's class-awareness (per-class linger, sealing) and the
-  /// `qos_enabled` flag reported in ServiceStats, so a class-aware custom
-  /// policy should keep `enable_qos = true`. The factory is invoked once
-  /// at service creation; the policy is called only under the service lock
-  /// (it needs no internal synchronisation). See DispatchPolicy.
-  std::function<std::unique_ptr<DispatchPolicy>()> dispatch_policy;
 
   /// How many finished queries' traces are kept for `GET /v1/trace/<id>`
   /// (a fixed ring: newest wins). 0 keeps none. Every query is traced
@@ -173,11 +161,10 @@ struct Submission {
 /// \brief Ordering of the admission queue: which admitted query a freed
 /// worker runs next.
 ///
-/// Implementations are plugged into the QueryService (see
-/// QueryServiceOptions::dispatch_policy); every method is invoked with the
-/// service mutex held, so policies need no locking of their own. The
-/// service ships two: the flat session round-robin (PR 1 behaviour,
-/// `enable_qos = false`) and the QoS policy — strict class priority, EDF
+/// Every method is invoked with the service mutex held, so policies need no
+/// locking of their own. QueryServiceOptions::enable_qos picks one of the
+/// two implementations: the flat session round-robin (`enable_qos = false`)
+/// or the QoS policy — strict class priority, EDF
 /// for deadline-carrying queries within a class, weighted round-robin
 /// across the class's sessions otherwise.
 class DispatchPolicy {
@@ -203,7 +190,7 @@ class DispatchPolicy {
 ///
 /// Clients Submit() queries and receive futures. Admission applies
 /// backpressure (global + per-session queue bounds); dispatch follows the
-/// configured DispatchPolicy — by default strict QoS class priority
+/// DispatchPolicy `enable_qos` selects — by default strict QoS class priority
 /// (interactive > batch > best_effort) with EDF for deadline-carrying
 /// queries and weighted round-robin across sessions within a class, FIFO
 /// within a session. Every query gets a core::QueryContext at admission

@@ -21,7 +21,7 @@ namespace storage {
 ///
 /// Thread-safety: concurrent Read/Write/Exists/SizeOf calls are safe as
 /// long as no two writers target the same key at once (IndexManager's
-/// per-layer build mutex guarantees that for index keys). Traffic counters
+/// serialised Commit() guarantees that for snapshot keys). Traffic counters
 /// are atomic. Moving a store concurrently with use is not supported.
 class FileStore {
  public:

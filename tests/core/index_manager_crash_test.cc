@@ -1,31 +1,50 @@
-// Crash/corruption behavior of the legacy per-layer index persist path:
-// writes are write-temp/fsync/rename (a kill can never leave a torn file
-// under the live key), every load is checksum-validated, and a corrupt or
-// truncated file triggers rebuild-and-rewarn plus cache invalidation —
-// never a silently wrong index.
+// Crash/corruption behavior of the snapshot an IndexManager commits: every
+// segment and the manifest are write-temp/fsync/rename (a commit never
+// leaves a temp file behind), every segment load is checksum-validated, and
+// a truncated or bit-flipped segment makes that layer rebuild on its first
+// query — never a silently wrong index.
 #include "core/index_manager.h"
 
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/deepeverest.h"
+#include "core/nta.h"
+#include "persist/snapshot.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
 namespace core {
 namespace {
 
+using testing_util::ExpectValidTopK;
 using testing_util::TempDir;
 using testing_util::TinySystem;
 
 IndexManagerOptions Opts() {
   IndexManagerOptions options;
   options.layer_config = LayerIndexConfig{4, 0.1};
-  options.persist = true;
   return options;
+}
+
+DeepEverestOptions EngineOptions() {
+  DeepEverestOptions options;
+  options.batch_size = 8;
+  options.num_partitions_override = 4;
+  options.mai_ratio_override = 0.1;
+  return options;
+}
+
+persist::SnapshotManifest Manifest(storage::FileStore* store,
+                                   const nn::Model& model) {
+  auto manifest = persist::ReadManifest(store, model.name());
+  EXPECT_TRUE(manifest.ok()) << manifest.status().ToString();
+  return manifest.ok() ? std::move(manifest.value())
+                       : persist::SnapshotManifest{};
 }
 
 void FlipByteAt(const std::string& path, size_t offset) {
@@ -45,85 +64,84 @@ TEST(IndexManagerCrashTest, PersistLeavesNoTempFiles) {
   auto store = storage::FileStore::Open(dir.path());
   ASSERT_TRUE(store.ok());
   IndexManager manager(sys.engine.get(), &store.value(), Opts());
-  ASSERT_TRUE(manager.EnsureIndex(sys.model->activation_layers()[0]).ok());
+  const int layer = sys.model->activation_layers()[0];
+  ASSERT_TRUE(manager.EnsureIndex(layer).ok());
 
+  // The first-touch build committed its segment and the manifest; neither
+  // left a temp file, and the segment sits under the snapshot prefix.
   auto keys = store->ListKeys();
   ASSERT_TRUE(keys.ok());
-  bool saw_index = false;
   for (const std::string& key : *keys) {
     EXPECT_EQ(key.find(".tmp"), std::string::npos) << key;
-    saw_index = saw_index || key.rfind("index/", 0) == 0;
   }
-  EXPECT_TRUE(saw_index);
+  const persist::SnapshotManifest manifest =
+      Manifest(&store.value(), *sys.model);
+  ASSERT_NE(manifest.Find(layer), nullptr);
+  EXPECT_TRUE(store->Exists(manifest.Find(layer)->key));
+  EXPECT_EQ(manifest.Find(layer)->key.rfind(
+                "snapshot/" + sys.model->name() + "/", 0),
+            0u);
 }
 
-TEST(IndexManagerCrashTest, TruncatedIndexFileRebuildsAndInvalidates) {
-  TinySystem sys(25, 52, 8);
-  TempDir dir("imc-trunc");
+/// One engine indexes layers A and B; `damage` then corrupts B's committed
+/// segment file. A fresh engine over the same store must rebuild B on its
+/// first query (full-dataset inference, brute-force answers), still load A
+/// without inference, and commit a segment for B that loads cleanly.
+void ExpectCorruptSegmentRebuilds(
+    uint64_t seed, const std::function<void(const std::string&)>& damage) {
+  TinySystem sys(40, seed, 8);
+  TempDir dir("imc-corrupt");
   auto store = storage::FileStore::Open(dir.path());
   ASSERT_TRUE(store.ok());
-  const int layer = sys.model->activation_layers()[0];
-  const std::string key = IndexManager::KeyFor(sys.model->name(), layer);
-
-  uint32_t built_inputs = 0;
+  const NeuronGroup group_a{sys.model->activation_layers()[0], {0, 3, 5}};
+  const NeuronGroup group_b{sys.model->activation_layers()[1], {1, 2, 4}};
   {
-    IndexManager manager(sys.engine.get(), &store.value(), Opts());
-    auto index = manager.EnsureIndex(layer);
-    ASSERT_TRUE(index.ok());
-    built_inputs = (*index)->num_inputs();
+    auto de = DeepEverest::Create(sys.model.get(), &sys.dataset,
+                                  &store.value(), EngineOptions());
+    ASSERT_TRUE(de.ok());
+    ASSERT_TRUE((*de)->TopKHighest(group_a, 5).ok());
+    ASSERT_TRUE((*de)->TopKHighest(group_b, 5).ok());
   }
-  // Simulate a torn write that somehow landed under the live key (e.g.
-  // media failure): halve the file.
-  const std::string path = store->root() + "/" + key;
-  const auto size = std::filesystem::file_size(path);
-  std::filesystem::resize_file(path, size / 2);
+  const persist::SegmentInfo damaged =
+      *Manifest(&store.value(), *sys.model).Find(group_b.layer);
+  damage(store->root() + "/" + damaged.key);
 
-  IndexManager manager(sys.engine.get(), &store.value(), Opts());
-  std::vector<int> invalidated;
-  manager.set_index_invalidation_hook(
-      [&](int l) { invalidated.push_back(l); });
-  auto index = manager.EnsureIndex(layer);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  EXPECT_EQ((*index)->num_inputs(), built_inputs);
-  // The rebuild re-ran inference (corrupt bytes are never trusted) and
-  // fired the invalidation hook so caches keyed on the old index drop.
-  ASSERT_EQ(invalidated.size(), 1u);
-  EXPECT_EQ(invalidated[0], layer);
+  auto de = DeepEverest::Create(sys.model.get(), &sys.dataset, &store.value(),
+                                EngineOptions());
+  ASSERT_TRUE(de.ok());
+  auto rebuilt = (*de)->TopKHighest(group_b, 5);
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().ToString();
+  EXPECT_GE(rebuilt->stats.inputs_run, 40);  // corrupt bytes never trusted
+  auto expected =
+      BruteForceHighest((*de)->inference(), group_b, 5, L2Distance());
+  ASSERT_TRUE(expected.ok());
+  ExpectValidTopK(*expected, *rebuilt, /*smaller_is_better=*/false);
 
-  // The rewritten file must load cleanly in a third manager — no rebuild,
-  // no hook.
-  IndexManager manager3(sys.engine.get(), &store.value(), Opts());
-  bool hook_fired = false;
-  manager3.set_index_invalidation_hook([&](int) { hook_fired = true; });
-  const int64_t inference_before = sys.engine->stats().inputs_run;
-  ASSERT_TRUE(manager3.EnsureIndex(layer).ok());
-  EXPECT_FALSE(hook_fired);
-  EXPECT_EQ(sys.engine->stats().inputs_run, inference_before);
+  auto intact = (*de)->TopKHighest(group_a, 5);
+  ASSERT_TRUE(intact.ok());
+  EXPECT_LT(intact->stats.inputs_run, 40);  // loaded, not rebuilt
+
+  // The rebuild replaced the damaged segment: a third engine loads both.
+  const persist::SnapshotManifest manifest =
+      Manifest(&store.value(), *sys.model);
+  EXPECT_NE(manifest.Find(group_b.layer)->key, damaged.key);
+  EXPECT_FALSE(store->Exists(damaged.key));
+  IndexManager fresh(sys.engine.get(), &store.value(), Opts());
+  const int64_t inputs_before = sys.engine->stats().inputs_run;
+  ASSERT_TRUE(fresh.EnsureIndex(group_b.layer).ok());
+  EXPECT_EQ(sys.engine->stats().inputs_run, inputs_before);
 }
 
-TEST(IndexManagerCrashTest, BitFlippedIndexFileRebuildsAndInvalidates) {
-  TinySystem sys(25, 53, 8);
-  TempDir dir("imc-flip");
-  auto store = storage::FileStore::Open(dir.path());
-  ASSERT_TRUE(store.ok());
-  const int layer = sys.model->activation_layers()[1];
-  const std::string key = IndexManager::KeyFor(sys.model->name(), layer);
+TEST(IndexManagerCrashTest, TruncatedSegmentRebuildsThatLayer) {
+  ExpectCorruptSegmentRebuilds(54, [](const std::string& path) {
+    std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+  });
+}
 
-  {
-    IndexManager manager(sys.engine.get(), &store.value(), Opts());
-    ASSERT_TRUE(manager.EnsureIndex(layer).ok());
-  }
-  const std::string path = store->root() + "/" + key;
-  FlipByteAt(path, std::filesystem::file_size(path) / 2);
-
-  IndexManager manager(sys.engine.get(), &store.value(), Opts());
-  std::vector<int> invalidated;
-  manager.set_index_invalidation_hook(
-      [&](int l) { invalidated.push_back(l); });
-  auto index = manager.EnsureIndex(layer);
-  ASSERT_TRUE(index.ok()) << index.status().ToString();
-  ASSERT_EQ(invalidated.size(), 1u);
-  EXPECT_EQ(invalidated[0], layer);
+TEST(IndexManagerCrashTest, BitFlippedSegmentRebuildsThatLayer) {
+  ExpectCorruptSegmentRebuilds(55, [](const std::string& path) {
+    FlipByteAt(path, std::filesystem::file_size(path) / 2);
+  });
 }
 
 }  // namespace

@@ -254,6 +254,21 @@ TEST(NpiTest, RejectsInvalidConfigs) {
   EXPECT_FALSE(LayerIndex::Build(empty, LayerIndexConfig{4, 0.0}).ok());
 }
 
+TEST(NpiTest, SinglePartitionBesidePartialMaiIsInvalidArgument) {
+  const auto m = Figure1Matrix();
+  // The MAI is partition 0, so a partial MAI leaves no partition for the
+  // other inputs: a config error, not an internal one.
+  for (const double ratio : {0.01, 0.5, 0.99}) {
+    SCOPED_TRACE(ratio);
+    EXPECT_TRUE(LayerIndex::Build(m, LayerIndexConfig{1, ratio})
+                    .status()
+                    .IsInvalidArgument());
+  }
+  // One partition is fine with no MAI or with an all-MAI build.
+  EXPECT_TRUE(LayerIndex::Build(m, LayerIndexConfig{1, 0.0}).ok());
+  EXPECT_TRUE(LayerIndex::Build(m, LayerIndexConfig{1, 1.0}).ok());
+}
+
 TEST(NpiTest, TiesBrokenDeterministically) {
   // All-equal activations: partition assignment must be by inputID.
   storage::LayerActivationMatrix m = storage::LayerActivationMatrix::Make(6, 1);

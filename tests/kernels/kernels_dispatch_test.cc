@@ -72,7 +72,6 @@ TEST(KernelDispatchTest, ScalarTableAlwaysAvailable) {
     EXPECT_NE(table.value_agg[k], nullptr);
   }
   EXPECT_NE(table.unpack, nullptr);
-  EXPECT_NE(table.dequant_row, nullptr);
   EXPECT_NE(table.conv2d, nullptr);
   EXPECT_NE(table.max_pool2x2, nullptr);
 }

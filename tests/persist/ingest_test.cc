@@ -4,16 +4,19 @@
 // exactly once.
 #include "persist/ingest.h"
 
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "persist/ingest_log.h"
+#include "persist/snapshot.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -287,6 +290,52 @@ TEST(IngestQueueTest, RecoversFromLogAndSnapshotExactlyOnce) {
   ExpectSameEntries(*fresh, *recovered);
 
   (*queue)->Shutdown();
+}
+
+TEST(IngestQueueTest, FirstTouchBuildsRacingSnapshotsKeepEveryLayer) {
+  auto model = nn::MakeTinyMlp(kDims, kSeed);
+  for (int round = 0; round < 4; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    TempDir dir("iq-race");
+    auto store = storage::FileStore::Open(dir.path());
+    ASSERT_TRUE(store.ok());
+    data::Dataset dataset = MakeVectorDataset(60, kDims, kSeed + 1);
+    auto engine = core::DeepEverest::Create(model.get(), &dataset,
+                                            &store.value(), SmallOptions());
+    ASSERT_TRUE(engine.ok());
+    core::IndexManager* indexes = (*engine)->index_manager();
+    auto queue =
+        IngestQueue::Create(engine->get(), &dataset, &store.value(), {});
+    ASSERT_TRUE(queue.ok()) << queue.status().ToString();
+    ASSERT_TRUE(indexes->EnsureIndex(0).ok());
+
+    // Two first-touch builds (each a commit) race a stream of snapshot
+    // commits; whichever order the commits land in, none may drop a layer.
+    std::atomic<bool> built{false};
+    std::thread saver([&] {
+      do {
+        DE_EXPECT_OK((*queue)->SaveSnapshot());
+      } while (!built.load());
+    });
+    std::vector<std::thread> builders;
+    for (int layer : {2 + round % 2, 5}) {
+      builders.emplace_back(
+          [indexes, layer] { EXPECT_TRUE(indexes->EnsureIndex(layer).ok()); });
+    }
+    for (std::thread& builder : builders) builder.join();
+    built = true;
+    saver.join();
+
+    auto manifest = ReadManifest(&store.value(), model->name());
+    ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+    const std::vector<int> loaded = indexes->LoadedLayers();
+    EXPECT_EQ(loaded.size(), 3u);
+    EXPECT_EQ(manifest->segments.size(), loaded.size());
+    for (int layer : loaded) {
+      EXPECT_NE(manifest->Find(layer), nullptr) << "layer " << layer;
+    }
+    (*queue)->Shutdown();
+  }
 }
 
 }  // namespace

@@ -10,11 +10,13 @@
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "persist/format.h"
 #include "testing/test_util.h"
 
 namespace deepeverest {
@@ -39,6 +41,23 @@ core::LayerIndex BuildIndex(uint32_t num_inputs, uint64_t seed) {
                                        core::LayerIndexConfig{4, 0.25});
   EXPECT_TRUE(index.ok()) << index.status().ToString();
   return std::move(index.value());
+}
+
+/// The manifest and every segment it lists, all validated.
+struct Loaded {
+  SnapshotManifest manifest;
+  std::vector<std::pair<int, core::LayerIndex>> indexes;
+};
+
+Result<Loaded> LoadSnapshot(storage::FileStore* store,
+                            const std::string& model) {
+  Loaded loaded;
+  DE_ASSIGN_OR_RETURN(loaded.manifest, ReadManifest(store, model));
+  for (const SegmentInfo& seg : loaded.manifest.segments) {
+    DE_ASSIGN_OR_RETURN(core::LayerIndex index, LoadSegment(store, seg));
+    loaded.indexes.emplace_back(seg.layer, std::move(index));
+  }
+  return loaded;
 }
 
 /// Writes one snapshot holding layers {1, 2} built over `num_inputs` rows.
@@ -68,7 +87,7 @@ TEST(SnapshotTest, RoundTrip) {
     EXPECT_TRUE(layer == 1 || layer == 2);
     EXPECT_EQ(index.num_inputs(), 20u);
   }
-  EXPECT_GT(loaded->total_bytes, 0u);
+  EXPECT_GT(loaded->manifest.total_bytes, 0u);
 }
 
 TEST(SnapshotTest, MissingSnapshotIsNotFound) {
@@ -149,6 +168,86 @@ TEST(SnapshotTest, KillPointSweepYieldsOldOrNewNeverHybrid) {
       }
     }
   }
+}
+
+TEST(SnapshotTest, CommitCarriesOtherLayersByKey) {
+  TempDir dir("snap-carry");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  DE_ASSERT_OK(WriteState(&store.value(), 20));
+  auto before = ReadManifest(&store.value(), "m");
+  ASSERT_TRUE(before.ok());
+
+  // Committing layer 3 alone writes its segment and the manifest; layers 1
+  // and 2 keep their files.
+  const core::LayerIndex c = BuildIndex(20, 11);
+  const uint64_t written_before = store->bytes_written();
+  auto bytes = WriteSnapshot(&store.value(), "m", "d", 20, {{3, &c}}, 1235);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  auto after = LoadSnapshot(&store.value(), "m");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(after->manifest.segments.size(), 3u);
+  for (int layer : {1, 2}) {
+    EXPECT_EQ(after->manifest.Find(layer)->key,
+              before->Find(layer)->key);
+  }
+  auto manifest_bytes = store->SizeOf(ManifestKeyFor("m"));
+  ASSERT_TRUE(manifest_bytes.ok());
+  EXPECT_EQ(store->bytes_written() - written_before,
+            after->manifest.Find(3)->bytes + *manifest_bytes);
+  EXPECT_EQ(*bytes, after->manifest.total_bytes);
+
+  // Replacing layer 1 retires its old file and carries 2 and 3.
+  const core::LayerIndex a = BuildIndex(25, 13);
+  DE_ASSERT_OK(
+      WriteSnapshot(&store.value(), "m", "d", 25, {{1, &a}}, 1236).status());
+  auto replaced = LoadSnapshot(&store.value(), "m");
+  ASSERT_TRUE(replaced.ok()) << replaced.status().ToString();
+  EXPECT_EQ(replaced->manifest.Find(1)->watermark, 25u);
+  EXPECT_FALSE(store->Exists(before->Find(1)->key));
+  EXPECT_EQ(replaced->manifest.Find(2)->key, before->Find(2)->key);
+  EXPECT_EQ(replaced->manifest.Find(3)->key, after->manifest.Find(3)->key);
+
+  // Nothing is carried across datasets. A segment past the committed size
+  // is carried: a reader that replays more of the ingest log may use it.
+  DE_ASSERT_OK(
+      WriteSnapshot(&store.value(), "m", "other", 30, {{1, &a}}, 1237)
+          .status());
+  auto foreign = ReadManifest(&store.value(), "m");
+  ASSERT_TRUE(foreign.ok());
+  ASSERT_EQ(foreign->segments.size(), 1u);
+  const core::LayerIndex small = BuildIndex(10, 17);
+  DE_ASSERT_OK(
+      WriteSnapshot(&store.value(), "m", "other", 10, {{4, &small}}, 1238)
+          .status());
+  foreign = ReadManifest(&store.value(), "m");
+  ASSERT_TRUE(foreign.ok());
+  ASSERT_EQ(foreign->segments.size(), 2u);
+  EXPECT_EQ(foreign->Find(1)->watermark, 25u);
+  EXPECT_EQ(foreign->Find(4)->watermark, 10u);
+}
+
+TEST(SnapshotTest, UnknownSegmentKindFailsLoad) {
+  TempDir dir("snap-kind");
+  auto store = storage::FileStore::Open(dir.path());
+  ASSERT_TRUE(store.ok());
+  DE_ASSERT_OK(WriteState(&store.value(), 20));
+  auto blob = store->Read(ManifestKeyFor("m"));
+  ASSERT_TRUE(blob.ok());
+  auto payload = UnwrapChecksum(*blob, "manifest");
+  ASSERT_TRUE(payload.ok());
+  // magic, version, generation (4 each), model "m" and dataset "d" (u64
+  // length + 1 byte each), dataset size (4), created (8), segment count
+  // (4), then the first segment's layer (4) and kind byte.
+  constexpr size_t kFirstKind = 4 + 4 + 4 + 9 + 9 + 4 + 8 + 4 + 4;
+  ASSERT_EQ((*payload)[kFirstKind], 0u);  // SegmentKind::kIndex
+  (*payload)[kFirstKind] = 1;
+  DE_ASSERT_OK(store->Write(ManifestKeyFor("m"), WrapChecksum(*payload)));
+  auto manifest = ReadManifest(&store.value(), "m");
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_NE(manifest.status().ToString().find("segment kind"),
+            std::string::npos)
+      << manifest.status().ToString();
 }
 
 void FlipByteAt(const std::string& path, size_t offset) {

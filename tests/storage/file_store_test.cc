@@ -28,9 +28,9 @@ TEST(FileStoreTest, NestedKeysCreateDirectories) {
   TempDir dir("fs");
   auto store = FileStore::Open(dir.path());
   ASSERT_TRUE(store.ok());
-  DE_ASSERT_OK(store->Write("index/model/layer_3.npi", Bytes("xyz")));
-  EXPECT_TRUE(store->Exists("index/model/layer_3.npi"));
-  auto size = store->SizeOf("index/model/layer_3.npi");
+  DE_ASSERT_OK(store->Write("snapshot/model/layer_3.g1.seg", Bytes("xyz")));
+  EXPECT_TRUE(store->Exists("snapshot/model/layer_3.g1.seg"));
+  auto size = store->SizeOf("snapshot/model/layer_3.g1.seg");
   ASSERT_TRUE(size.ok());
   EXPECT_EQ(*size, 3u);
 }
